@@ -1,11 +1,18 @@
 // Command aft-serve is the durable experiment job server: a long-running
 // HTTP/JSON daemon (internal/jobs) that accepts Fig. 6/7 campaigns,
-// E8/E9/E10 sweep grids, and chaos scenarios, executes them on a bounded
-// worker pool, and survives being killed at any instant — running
-// campaigns checkpoint every -checkpoint-every rounds through
-// internal/checkpoint, so a restarted server resumes them from the last
-// snapshot and renders final transcripts byte-identical to an
-// uninterrupted run.
+// E8/E9/E10 sweep grids, and chaos scenarios, and survives being killed
+// at any instant — running campaigns checkpoint every -checkpoint-every
+// rounds through internal/checkpoint, so a restarted server resumes them
+// from the last snapshot and renders final transcripts byte-identical to
+// an uninterrupted run.
+//
+// Jobs run on lease holders. By default the server starts -workers
+// in-process holders; they lease, heartbeat, upload checkpoints and
+// complete through the same protocol methods the /v1 endpoints below
+// serve to aft-worker processes, so a job takes one code path whichever
+// kind of holder runs it. With -coordinator the server starts none and
+// jobs run only on aft-worker processes; without it, remote workers may
+// still lease alongside the in-process holders.
 //
 // Endpoints (see API.md for schemas and a crash-recovery walkthrough):
 //
@@ -18,18 +25,18 @@
 //	GET  /metricz            text metrics exposition
 //	GET  /healthz            liveness, lifecycle phase, job-state counts
 //
-// Fleet protocol (for aft-worker processes; fenced leases make every
-// write safe against dead workers' delayed packets):
+// Lease protocol for aft-worker processes (fenced leases make every
+// write safe against dead holders' delayed packets):
 //
 //	POST /v1/lease                 lease the next runnable job
 //	POST /v1/jobs/{id}/renew       heartbeat (and learn of cancellation)
 //	PUT  /v1/jobs/{id}/checkpoint  stream a campaign snapshot back
 //	POST /v1/jobs/{id}/complete    hand in a terminal result
-//	GET  /v1/workers               fleet worker registry
+//	GET  /v1/workers               lease-holder registry (in-process ones too)
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: every running
-// campaign writes a final checkpoint and parks, and the next aft-serve
-// on the same -store directory resumes it. Deployment guidance (ports,
+// campaign's next checkpoint upload parks it, and the next aft-serve on
+// the same -store directory resumes it. Deployment guidance (ports,
 // store layout, worker sizing, crash-recovery semantics, and serving
 // under load — priorities, fair queuing, rate limits) lives in
 // OPERATIONS.md.
@@ -72,10 +79,10 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("aft-serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8606", "listen address (use port 0 for an ephemeral port)")
 	store := fs.String("store", "aft-store", "job-store directory (created if absent)")
-	workers := fs.Int("workers", 0, "worker pool size (0 = one per CPU)")
+	workers := fs.Int("workers", 0, "in-process lease holders running jobs (0 = one per CPU)")
 	ckptEvery := fs.Int64("checkpoint-every", 0, "campaign snapshot cadence in rounds (0 = 100000)")
-	coordinator := fs.Bool("coordinator", false, "pure-coordinator mode: run no local workers; jobs execute only on leased aft-worker processes")
-	leaseTTL := fs.Duration("lease-ttl", 0, "fleet lease duration between heartbeats (0 = 10s)")
+	coordinator := fs.Bool("coordinator", false, "pure-coordinator mode: run no in-process holders; jobs execute only on leased aft-worker processes")
+	leaseTTL := fs.Duration("lease-ttl", 0, "lease duration between heartbeats, for in-process holders and fleet workers alike (0 = 10s)")
 	shardRounds := fs.Int64("shard-rounds", 0, "max campaign rounds per lease; longer campaigns are sharded across the fleet (0 = whole campaign per lease)")
 	scheduler := fs.String("scheduler", "", "dispatch discipline: fair (priority + per-client weighted round-robin, the default) or fifo (strict submission order)")
 	rateLimit := fs.Float64("rate-limit", 0, "per-client submission rate cap in requests/sec; over-limit submits get 429 with Retry-After (0 = off)")
@@ -128,9 +135,9 @@ func run(args []string, stdout io.Writer) error {
 	case s := <-sig:
 		fmt.Fprintf(stdout, "aft-serve: %v: checkpointing running jobs and shutting down\n", s)
 		// Close the job server first: it refuses new submissions (503),
-		// ends SSE streams, and parks running campaigns at a durable
-		// checkpoint — so the HTTP drain below has nothing left to
-		// pin it to its timeout.
+		// ends SSE streams, and parks running campaigns at their next
+		// durable checkpoint — so the HTTP drain below has nothing left
+		// to pin it to its timeout.
 		err := srv.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -1,8 +1,9 @@
 // Command aft-worker is a stateless fleet worker for aft-serve: it
-// leases jobs from a coordinator over the /v1 worker protocol
-// (internal/jobs/worker), executes them with the exact code the
-// coordinator's local pool would use, streams campaign checkpoints back
-// every lease's configured cadence, and hands in terminal results.
+// leases jobs from a coordinator over the /v1 lease protocol
+// (internal/jobs/worker) and runs them in the same holder loop
+// aft-serve's in-process holders run, streaming campaign checkpoints
+// back at each lease's configured cadence and handing in terminal
+// results.
 //
 // A worker owns no disk state — every durable byte lives in the
 // coordinator's store — so it may be SIGKILLed at any moment: its lease

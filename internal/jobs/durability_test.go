@@ -7,6 +7,8 @@ package jobs
 
 import (
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -162,5 +164,40 @@ func TestMetricsScrapeDuringCampaign(t *testing.T) {
 		if !strings.Contains(metricz, want) {
 			t.Fatalf("metricz missing %q:\n%s", want, metricz)
 		}
+	}
+}
+
+// TestScanSweepsStaleTempFiles recovers the store in
+// testdata/stale-temp-files: a queued campaign whose directory still
+// holds two torn temp files, from a checkpoint write and a result write
+// that kills interrupted before their renames. The scan deletes both,
+// with a recovery note each, and the job beside them still runs to the
+// uninterrupted transcript.
+func TestScanSweepsStaleTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("testdata/stale-temp-files")); err != nil {
+		t.Fatal(err)
+	}
+	const id = "d843222dca022d6b" // the ID of testCampaign(20_000, 0)
+	s := newTestServer(t, Options{Dir: dir, Workers: 1})
+	notes := s.RecoveryNotes()
+	if len(notes) != 2 {
+		t.Fatalf("recovery notes %q, want one per stale temp file", notes)
+	}
+	for _, n := range notes {
+		if !strings.Contains(n, "removed stale temp file") {
+			t.Fatalf("recovery note %q", n)
+		}
+	}
+	if left, err := filepath.Glob(filepath.Join(s.store.jobDir(id), "*.tmp-*")); err != nil || len(left) != 0 {
+		t.Fatalf("temp files left after scan: %v %v", left, err)
+	}
+	res, err := s.Wait(waitCtx(t), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.State != StateDone || res.Transcript != uninterrupted(t, testCampaign(20_000, 0)) {
+		t.Fatalf("job beside the stale files: state %s (%s), transcript matches %v",
+			res.State, res.Error, res.Transcript == uninterrupted(t, testCampaign(20_000, 0)))
 	}
 }

@@ -1,13 +1,15 @@
-// The fleet side of the coordinator: the /v1 worker protocol that lets
-// stateless aft-worker processes execute jobs the clients submitted
-// over the ordinary API. The protocol is four verbs — lease, renew,
-// checkpoint, complete — designed so that any worker can be SIGKILLed
-// at any instant and the system converges to the same results a single
-// process would have produced:
+// The lease protocol: the four verbs — lease, renew, checkpoint,
+// complete — through which every job runs. The server's in-process
+// holders call the Server's protocol methods (Lease, Renew, Upload,
+// Complete) directly; stateless aft-worker processes reach the same
+// methods through the /v1 handlers here, which only decode and encode.
+// The protocol is designed so that any holder can die at any instant and
+// the system converges to the same results a single process would have
+// produced:
 //
 //   - A lease is a fencing-token grant (internal/jobs/lease): the only
 //     writes the coordinator accepts for a job are ones carrying the
-//     current holder's token, so a worker presumed dead cannot clobber
+//     current holder's token, so a holder presumed dead cannot clobber
 //     its successor's progress no matter how delayed its packets are.
 //   - Checkpoint uploads are verified, not trusted: the coordinator
 //     restores the snapshot itself and derives the covered rounds from
@@ -15,17 +17,18 @@
 //     resume point.
 //   - Long campaigns are cut into SplitCampaign shard chains: each
 //     lease covers one shard, the next shard resumes from the uploaded
-//     checkpoint (on whichever worker leases it next), and because
+//     checkpoint (on whichever holder leases it next), and because
 //     shard N+1 starts from shard N's exact state, the stitched
 //     transcript is byte-identical to a single-process run.
 //   - Duplicate deliveries are idempotent: re-uploading the checkpoint
 //     a job already has is a 200 no-op, completing a job that is
 //     already terminal is a 200 no-op, and an upload arriving after the
-//     lease ended is a 409 the worker treats as "abandon this job".
+//     lease ended is a 409 the holder treats as "abandon this job".
 
 package jobs
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -67,8 +70,8 @@ type LeaseRequest struct {
 	Worker string `json:"worker"`
 }
 
-// Grant is the 200 body of POST /v1/lease: everything a stateless
-// worker needs to run its slice of the job.
+// Grant is a lease grant, and the 200 body of POST /v1/lease:
+// everything a stateless holder needs to run its slice of the job.
 type Grant struct {
 	// Job is the content-addressed job ID.
 	Job string `json:"job"`
@@ -122,8 +125,9 @@ type UploadReply struct {
 	// Rounds is the coordinator's (verified) durable round count after
 	// this upload.
 	Rounds int64 `json:"rounds"`
-	// ShardDone tells the worker its shard ended here: drop the job
-	// (the chain's next shard is leased separately) and lease again.
+	// ShardDone tells the worker to hand the job back here and lease
+	// again: its shard ended (the chain's next shard is leased
+	// separately), or the coordinator is closing and parked the job.
 	ShardDone bool `json:"shard_done,omitempty"`
 	// Cancelled tells the worker the job was cancelled and finalized at
 	// this checkpoint; drop it.
@@ -139,8 +143,10 @@ type CompleteRequest struct {
 	Result *Result `json:"result"`
 }
 
-// WorkerInfo is one fleet worker's registry entry, served by
-// GET /v1/workers. All fields are guarded by the server mutex.
+// WorkerInfo is one lease holder's registry entry, served by
+// GET /v1/workers: aft-worker processes under their own names, and the
+// server's in-process holders as local-0, local-1, and so on. All fields
+// are guarded by the server mutex.
 type WorkerInfo struct {
 	// Name is the worker's self-reported stable name.
 	Name string `json:"name"`
@@ -202,9 +208,9 @@ func (s *Server) shardEnd(j *job, rounds int64) int64 {
 	return sh.End
 }
 
-// handleLease pops the next runnable job and grants it to the caller
-// under a fenced lease. 204 means no work; 503 means not ready (still
-// recovering) or shutting down — both retryable.
+// handleLease grants the next runnable job to the caller under a fenced
+// lease. 204 means no work; 503 means not ready (still recovering) or
+// shutting down — both retryable.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxBody)).Decode(&req); err != nil {
@@ -215,27 +221,41 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "lease request names no worker"})
 		return
 	}
-	if s.stopping() {
-		writeJSON(w, http.StatusServiceUnavailable, errorReply{Error: ErrShuttingDown.Error()})
-		return
-	}
-	if !s.Ready() {
-		writeJSON(w, http.StatusServiceUnavailable, errorReply{Error: ErrRecovering.Error()})
-		return
-	}
-	s.mu.Lock()
-	info := s.touchWorkerLocked(req.Worker)
-	j := s.popLocked()
-	if j == nil {
-		s.mu.Unlock()
+	g, err := s.grant(r.Context(), req.Worker, false)
+	if err == errNoWork {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	info.Granted++
-	info.Active++
-	s.mu.Unlock()
+	respond(w, g, err)
+}
 
-	l, err := s.leases.Acquire(j.id, req.Worker)
+// errNoWork is grant's answer to a caller that does not wait when no
+// job is runnable.
+var errNoWork = errors.New("jobs: no runnable job")
+
+// Lease implements Coordinator for the server's in-process holders: it
+// grants the next runnable job, waiting on the server's condition
+// variable — never on a poll timer — so a local job starts the moment it
+// is queued. It fails once the server closes or ctx ends.
+func (s *Server) Lease(ctx context.Context, holder string) (Grant, error) {
+	stop := context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	})
+	defer stop()
+	return s.grant(ctx, holder, true)
+}
+
+// grant pops the next runnable job and leases it to holder, waiting for
+// one when wait is set and answering errNoWork otherwise. Every job any
+// holder runs, in process or remote, starts here.
+func (s *Server) grant(ctx context.Context, holder string, wait bool) (Grant, error) {
+	j, info, err := s.take(ctx, holder, wait)
+	if err != nil {
+		return Grant{}, err
+	}
+	l, err := s.leases.Acquire(j.id, holder)
 	if err != nil {
 		// Unreachable in normal operation (a queued job has no live
 		// lease), but a requeue bug must fail closed: put the job back
@@ -248,82 +268,118 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			s.enqueueLocked(j, true)
 		}
 		s.mu.Unlock()
-		writeJSON(w, http.StatusConflict, errorReply{Error: err.Error()})
-		return
+		return Grant{}, &StatusError{Code: http.StatusConflict, Msg: err.Error()}
 	}
 	s.leasesGranted.Inc()
 
 	rounds := j.ckptRounds.Load()
-	grant := Grant{
+	g := Grant{
 		Job:     j.id,
 		Kind:    j.spec.Kind,
 		Spec:    j.spec,
-		Worker:  req.Worker,
+		Worker:  holder,
 		Token:   l.Token,
 		LeaseMS: s.opts.LeaseTTL.Milliseconds(),
 		Rounds:  rounds,
 		Total:   j.total,
 	}
 	if j.spec.Kind == KindCampaign {
-		grant.CheckpointEvery = s.opts.CheckpointEvery
-		grant.RunTo = s.shardEnd(j, rounds)
-		j.runTo.Store(grant.RunTo)
+		g.CheckpointEvery = s.opts.CheckpointEvery
+		g.RunTo = s.shardEnd(j, rounds)
+		j.runTo.Store(g.RunTo)
 		if rounds > 0 {
 			if snap := s.store.readCheckpoint(j.id); snap != nil {
-				grant.Checkpoint = snap.Encode()
+				// Every resume — after a restart, a shard handback, a
+				// graceful park or a lease expiry — is this grant.
+				g.Checkpoint = snap.Encode()
+				s.resumedJobs.Inc()
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, grant)
+	s.publish(j) // running
+	return g, nil
+}
+
+// take pops the next runnable job for holder and counts the grant in
+// the registry, waiting on the condition variable when wait is set.
+func (s *Server) take(ctx context.Context, holder string, wait bool) (*job, *WorkerInfo, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		switch {
+		case s.closed:
+			return nil, nil, &StatusError{Code: http.StatusServiceUnavailable, Msg: ErrShuttingDown.Error()}
+		case ctx.Err() != nil:
+			return nil, nil, ctx.Err()
+		case s.ready:
+			info := s.touchWorkerLocked(holder)
+			if j := s.popLocked(); j != nil {
+				info.Granted++
+				info.Active++
+				return j, info, nil
+			}
+			if !wait {
+				return nil, nil, errNoWork
+			}
+		case !wait:
+			return nil, nil, &StatusError{Code: http.StatusServiceUnavailable, Msg: ErrRecovering.Error()}
+		}
+		s.cond.Wait()
+	}
 }
 
 // handleRenew extends the caller's lease; the reply carries the cancel
 // flag so the heartbeat is also the cancellation channel.
 func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	var req RenewRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxBody)).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad renew request: " + err.Error()})
 		return
 	}
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if ok {
-		s.touchWorkerLocked(req.Worker)
-	}
-	s.mu.Unlock()
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorReply{Error: fmt.Sprintf("unknown job %s", id)})
-		return
-	}
-	l, err := s.leases.Renew(id, req.Worker, req.Token)
-	if err != nil {
-		s.rejectLeaseErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, RenewReply{
-		DeadlineUnixMS: l.Deadline.UnixMilli(),
-		Cancelled:      j.cancel.Load(),
-	})
+	reply, err := s.Renew(r.Context(), Grant{Job: r.PathValue("id"), Worker: req.Worker, Token: req.Token})
+	respond(w, reply, err)
 }
 
-// rejectLeaseErr maps lease-table errors onto the wire: fenced writes
-// are 409 Conflict with the pinned lease error text as the body.
-func (s *Server) rejectLeaseErr(w http.ResponseWriter, err error) {
+// Renew implements Coordinator: it extends the grant's lease and reports
+// whether the job has been cancelled.
+func (s *Server) Renew(_ context.Context, g Grant) (RenewReply, error) {
+	j, err := s.touchJob(g)
+	if err != nil {
+		return RenewReply{}, err
+	}
+	l, err := s.leases.Renew(g.Job, g.Worker, g.Token)
+	if err != nil {
+		return RenewReply{}, s.leaseErr(err)
+	}
+	return RenewReply{DeadlineUnixMS: l.Deadline.UnixMilli(), Cancelled: j.cancel.Load()}, nil
+}
+
+// touchJob looks up the grant's job and marks its holder as seen; an
+// unknown job is a 404.
+func (s *Server) touchJob(g Grant) (*job, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[g.Job]
+	if !ok {
+		return nil, &StatusError{Code: http.StatusNotFound, Msg: fmt.Sprintf("unknown job %s", g.Job)}
+	}
+	s.touchWorkerLocked(g.Worker)
+	return j, nil
+}
+
+// leaseErr maps a lease-table refusal onto the protocol: 409 Conflict
+// with the pinned lease error text, counting fenced writes.
+func (s *Server) leaseErr(err error) error {
 	if lease.IsFenced(err) {
 		s.fencedRejects.Inc()
 	}
-	writeJSON(w, http.StatusConflict, errorReply{Error: err.Error()})
+	return &StatusError{Code: http.StatusConflict, Msg: err.Error()}
 }
 
 // handleUpload accepts a campaign checkpoint from the current lease
 // holder. The body is the raw encoded snapshot; worker identity and
-// token travel in headers. The snapshot is restored server-side to
-// verify it and derive its round count. Re-uploading the rounds the job
-// already has is an idempotent no-op, so duplicated deliveries (and
-// retries after a lost response) are harmless.
+// token travel in headers.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	worker := r.Header.Get(HeaderWorker)
 	token, err := strconv.ParseUint(r.Header.Get(HeaderToken), 10, 64)
 	if worker == "" || err != nil {
@@ -336,20 +392,24 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "read body: " + err.Error()})
 		return
 	}
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if ok {
-		s.touchWorkerLocked(worker)
-	}
-	s.mu.Unlock()
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorReply{Error: fmt.Sprintf("unknown job %s", id)})
-		return
+	reply, err := s.Upload(r.Context(), Grant{Job: r.PathValue("id"), Worker: worker, Token: token}, body)
+	respond(w, reply, err)
+}
+
+// Upload implements Coordinator: it accepts a campaign checkpoint from
+// the job's current lease holder. The snapshot is restored here to
+// verify it and derive its round count. Re-uploading the rounds the job
+// already has is an idempotent no-op, so duplicated deliveries (and
+// retries after a lost response) are harmless. The reply hands the job
+// back at a shard boundary, and parks it when the server is closing.
+func (s *Server) Upload(_ context.Context, g Grant, snapshot []byte) (UploadReply, error) {
+	j, err := s.touchJob(g)
+	if err != nil {
+		return UploadReply{}, err
 	}
 	if j.spec.Kind != KindCampaign {
-		writeJSON(w, http.StatusConflict,
-			errorReply{Error: fmt.Sprintf("job %s is a %s; only campaigns checkpoint", id, j.spec.Kind)})
-		return
+		return UploadReply{}, &StatusError{Code: http.StatusConflict,
+			Msg: fmt.Sprintf("job %s is a %s; only campaigns checkpoint", g.Job, j.spec.Kind)}
 	}
 
 	// uploadMu makes the fence check and the write it authorizes atomic
@@ -357,27 +417,23 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// holder's check and write.
 	j.uploadMu.Lock()
 	defer j.uploadMu.Unlock()
-	if err := s.leases.Check(id, worker, token); err != nil {
-		s.rejectLeaseErr(w, err)
-		return
+	if err := s.leases.Check(g.Job, g.Worker, g.Token); err != nil {
+		return UploadReply{}, s.leaseErr(err)
 	}
 
 	// Trust but verify: restore the snapshot here and derive the round
 	// count from the campaign itself rather than any client claim.
-	snap, err := checkpoint.Decode(body)
+	snap, err := checkpoint.Decode(snapshot)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad snapshot: " + err.Error()})
-		return
+		return UploadReply{}, &StatusError{Code: http.StatusBadRequest, Msg: "bad snapshot: " + err.Error()}
 	}
 	c, err := experiments.RestoreCampaign(snap)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "snapshot does not restore: " + err.Error()})
-		return
+		return UploadReply{}, &StatusError{Code: http.StatusBadRequest, Msg: "snapshot does not restore: " + err.Error()}
 	}
 	if c.Config() != *j.spec.Campaign {
-		writeJSON(w, http.StatusBadRequest,
-			errorReply{Error: fmt.Sprintf("snapshot describes a different campaign than job %s", id)})
-		return
+		return UploadReply{}, &StatusError{Code: http.StatusBadRequest,
+			Msg: fmt.Sprintf("snapshot describes a different campaign than job %s", g.Job)}
 	}
 	rounds := c.Rounds()
 	cur := j.ckptRounds.Load()
@@ -385,16 +441,14 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	case rounds < cur:
 		// A delayed duplicate of an earlier chunk from the same (still
 		// live) lease: the newer checkpoint already supersedes it.
-		writeJSON(w, http.StatusOK, UploadReply{Rounds: cur})
-		return
+		return UploadReply{Rounds: cur}, nil
 	case rounds == cur:
 		// Exact duplicate delivery: idempotent, but fall through so the
-		// shard-done / cancelled decision is re-sent (the first reply
-		// may have been the one the network ate).
+		// handback / cancelled decision is re-sent (the first reply may
+		// have been the one the network ate).
 	default:
-		if err := s.store.writeCheckpoint(id, snap); err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorReply{Error: "persist checkpoint: " + err.Error()})
-			return
+		if err := s.store.writeCheckpoint(g.Job, snap); err != nil {
+			return UploadReply{}, &StatusError{Code: http.StatusInternalServerError, Msg: "persist checkpoint: " + err.Error()}
 		}
 		s.checkpointsWritten.Inc()
 		s.roundsRun.Add(rounds - cur)
@@ -402,48 +456,51 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		j.rounds.Store(rounds)
 		s.remoteUploads.Inc()
 		s.mu.Lock()
-		if wi, ok := s.fleetWorkers[worker]; ok {
+		if wi, ok := s.fleetWorkers[g.Worker]; ok {
 			wi.Uploads++
 		}
 		s.mu.Unlock()
-		s.publish(j) // progress: verified remote checkpoint landed
+		s.publish(j) // progress: a verified checkpoint landed
+		if n := s.opts.testHaltAfter; n > 0 && s.checkpointsWritten.Value() >= n {
+			s.halt() // simulated kill -9: every in-process holder stops where it stands
+			return UploadReply{}, ErrShuttingDown
+		}
 	}
 
 	reply := UploadReply{Rounds: j.ckptRounds.Load()}
 	switch {
 	case j.cancel.Load():
-		// Checkpoint-on-cancel, fleet edition: the upload we just
-		// accepted is the durable stopping point.
+		// Checkpoint-on-cancel: the upload just accepted is the durable
+		// stopping point.
 		reply.Cancelled = true
-		s.releaseLease(id, worker, token)
+		s.releaseLease(g.Job, g.Worker, g.Token)
 		s.finalize(j, &Result{
 			ID: j.id, Kind: j.spec.Kind, State: StateCancelled,
 			Error:  "cancelled by request",
 			Rounds: j.ckptRounds.Load(),
 		})
-	case j.runTo.Load() > 0 && rounds >= j.runTo.Load() && rounds < j.total:
-		// Shard boundary: take the job back and requeue it so the next
-		// lease — any worker's — runs the chain's next shard from this
-		// exact state.
+	case s.stopping() || (j.runTo.Load() > 0 && rounds >= j.runTo.Load() && rounds < j.total):
+		// Shard boundary or graceful shutdown: take the job back and
+		// requeue it at this exact state — for the chain's next shard on
+		// any holder, or for the next server on this store.
 		reply.ShardDone = true
-		s.releaseLease(id, worker, token)
+		s.releaseLease(g.Job, g.Worker, g.Token)
 		s.mu.Lock()
 		if !j.state.Terminal() {
 			j.state = StateCheckpointed
-			j.restored = c
 			j.runTo.Store(0)
-			// Head of its client's queue: a shard hand-back continues an
+			// Head of its client's queue: a handback continues an
 			// in-flight campaign rather than starting a new turn.
 			s.enqueueLocked(j, true)
 		}
 		s.mu.Unlock()
 	}
-	writeJSON(w, http.StatusOK, reply)
+	return reply, nil
 }
 
 // releaseLease returns a lease and maintains the worker registry; a
 // fenced release (the lease expired while we processed the request) is
-// fine — the reaper already did the bookkeeping.
+// fine — the reaper does the bookkeeping.
 func (s *Server) releaseLease(id, worker string, token uint64) {
 	if err := s.leases.Release(id, worker, token); err != nil {
 		return
@@ -456,9 +513,7 @@ func (s *Server) releaseLease(id, worker string, token uint64) {
 }
 
 // handleComplete accepts a terminal result from the current lease
-// holder. Completing an already-terminal job is an idempotent 200 (the
-// duplicate-delivery case); the coordinator persists the result durably
-// before replying.
+// holder and replies with the job's status.
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req CompleteRequest
@@ -470,47 +525,48 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "complete request carries no result"})
 		return
 	}
+	err := s.Complete(r.Context(), Grant{Job: id, Worker: req.Worker, Token: req.Token}, req.Result)
+	st, _ := s.StatusOf(id)
+	respond(w, st, err)
+}
+
+// Complete implements Coordinator: it finalizes the job with the
+// holder's terminal result, durably, before returning. Completing an
+// already-terminal job is an idempotent no-op (the duplicate-delivery
+// case).
+func (s *Server) Complete(_ context.Context, g Grant, res *Result) error {
+	j, err := s.touchJob(g)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
-	j, ok := s.jobs[id]
-	var terminal bool
-	if ok {
-		s.touchWorkerLocked(req.Worker)
-		terminal = j.state.Terminal()
-	}
+	terminal := j.state.Terminal()
 	s.mu.Unlock()
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorReply{Error: fmt.Sprintf("unknown job %s", id)})
-		return
-	}
 	if terminal {
-		// Duplicate delivery of a completion that already landed.
-		writeJSON(w, http.StatusOK, s.mustStatus(id))
-		return
+		return nil
 	}
-	if req.Result.ID != id || req.Result.Kind != j.spec.Kind || !req.Result.State.Terminal() {
-		writeJSON(w, http.StatusBadRequest,
-			errorReply{Error: fmt.Sprintf("result does not describe job %s reaching a terminal state", id)})
-		return
+	if res.ID != g.Job || res.Kind != j.spec.Kind || !res.State.Terminal() {
+		return &StatusError{Code: http.StatusBadRequest,
+			Msg: fmt.Sprintf("result does not describe job %s reaching a terminal state", g.Job)}
 	}
-	if err := s.leases.Check(id, req.Worker, req.Token); err != nil {
-		s.rejectLeaseErr(w, err)
-		return
+	if err := s.leases.Check(g.Job, g.Worker, g.Token); err != nil {
+		return s.leaseErr(err)
 	}
-	s.releaseLease(id, req.Worker, req.Token)
-	s.finalize(j, req.Result)
+	s.releaseLease(g.Job, g.Worker, g.Token)
+	if j.spec.Kind == KindCampaign {
+		// The rounds after the last checkpoint: uploads counted the rest.
+		if n := res.Rounds - j.ckptRounds.Load(); n > 0 {
+			s.roundsRun.Add(n)
+		}
+	}
+	s.finalize(j, res)
 	s.remoteCompletions.Inc()
 	s.mu.Lock()
-	if wi, ok := s.fleetWorkers[req.Worker]; ok {
+	if wi, ok := s.fleetWorkers[g.Worker]; ok {
 		wi.Completed++
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, s.mustStatus(id))
-}
-
-// mustStatus returns the status of a job known to exist.
-func (s *Server) mustStatus(id string) Status {
-	st, _ := s.StatusOf(id)
-	return st
+	return nil
 }
 
 // handleWorkers lists the fleet registry in name order.

@@ -7,7 +7,9 @@
 package jobs
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -626,5 +628,93 @@ func TestRemoteCompleteIdempotentAndRegistry(t *testing.T) {
 	z := wr.Workers[1]
 	if z.Granted != 1 || z.Completed != 1 || z.Active != 0 {
 		t.Fatalf("zeta's registry entry %+v", z)
+	}
+}
+
+// TestLeaseWaitsOnConditionVariable drives the in-process protocol
+// method directly: Lease blocks while the queue is empty, returns the
+// grant as soon as a job is queued (woken by the submit, not by a
+// timer), and returns the context's error once that ends.
+func TestLeaseWaitsOnConditionVariable(t *testing.T) {
+	s := newTestServer(t, Options{DisableLocalPool: true, LeaseTTL: time.Minute})
+	if err := s.WaitReady(waitCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	type leased struct {
+		g   Grant
+		err error
+	}
+	got := make(chan leased, 1)
+	ctx := waitCtx(t)
+	go func() {
+		g, err := s.Lease(ctx, "local-test")
+		got <- leased{g, err}
+	}()
+	// The holder registers and starts waiting in one critical section,
+	// so once it is in the registry it is parked on the condition
+	// variable.
+	awaitHolders := func(n int) {
+		for len(decode[WorkersReply](t, do(t, s, "GET", "/v1/workers", "")).Workers) < n {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	awaitHolders(1)
+	spec := Spec{Kind: KindScenario, Scenario: &ScenarioSpec{Spec: tinyScenario()}}
+	st, _, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := <-got
+	if r.err != nil || r.g.Job != st.ID || r.g.Worker != "local-test" {
+		t.Fatalf("waiting lease returned %+v, %v; want a grant of %s", r.g, r.err, st.ID)
+	}
+	if err := s.Complete(ctx, r.g, ExecuteScenario(st.ID, spec.Scenario)); err != nil {
+		t.Fatal(err)
+	}
+
+	short, cancel := context.WithCancel(ctx)
+	go func() {
+		g, err := s.Lease(short, "local-test-2")
+		got <- leased{g, err}
+	}()
+	awaitHolders(2) // parked on the condition variable: only ctx can end the wait
+	cancel()
+	if r := <-got; !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("lease after its context ended: %+v, %v; want context.Canceled", r.g, r.err)
+	}
+}
+
+// TestUploadAfterCloseParks covers graceful shutdown on the protocol:
+// once Close has begun, a holder's next checkpoint upload is stored and
+// answered with shard_done, and the job parks as checkpointed for the
+// next server on the store.
+func TestUploadAfterCloseParks(t *testing.T) {
+	s := newTestServer(t, Options{DisableLocalPool: true, CheckpointEvery: 2_000, LeaseTTL: time.Minute})
+	cfg := testCampaign(10_000, 0)
+	st, _, err := s.Submit(Spec{Kind: KindCampaign, Campaign: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitReady(waitCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	g := waitLease(t, s, "w1")
+	c, _ := grantCampaign(t, g)
+	c.Run(2_000)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w := uploadSnapshot(t, s, g, c)
+	if w.Code != http.StatusOK {
+		t.Fatalf("upload during shutdown: %d %s", w.Code, w.Body)
+	}
+	if r := decode[UploadReply](t, w); !r.ShardDone || r.Rounds != 2_000 {
+		t.Fatalf("upload reply %+v, want shard_done at 2000", r)
+	}
+	if got, _ := s.StatusOf(st.ID); got.State != StateCheckpointed || got.CheckpointRounds != 2_000 {
+		t.Fatalf("after the parking upload: %+v", got)
+	}
+	if s.store.readCheckpoint(st.ID) == nil {
+		t.Fatal("parked job has no checkpoint on disk")
 	}
 }

@@ -49,8 +49,8 @@ type ListReply struct {
 type HealthReply struct {
 	OK bool `json:"ok"`
 	// Status is the server's lifecycle phase: "recovering" while the
-	// startup replay of campaign checkpoints is still running (no work
-	// is handed out, locally or to the fleet), "ready" once it
+	// startup replay of campaign checkpoints is still running (no lease
+	// is granted, in process or to the fleet), "ready" once it
 	// finishes, "stopping" during graceful shutdown. Fleet workers poll
 	// this and must not lease until it reads "ready".
 	Status  string        `json:"status"`
@@ -89,8 +89,9 @@ func (s *Server) initHTTP() {
 	s.mux.HandleFunc("GET /metricz", s.handleMetricz)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 
-	// The /v1 worker protocol (fleet.go): stateless workers lease jobs,
-	// heartbeat, stream checkpoints back, and hand in results.
+	// The /v1 lease protocol (fleet.go): stateless workers lease jobs,
+	// heartbeat, stream checkpoints back, and hand in results through
+	// the same methods the in-process holders call.
 	s.mux.HandleFunc("POST /v1/lease", s.handleLease)
 	s.mux.HandleFunc("POST /v1/jobs/{id}/renew", s.handleRenew)
 	s.mux.HandleFunc("PUT /v1/jobs/{id}/checkpoint", s.handleUpload)
@@ -108,6 +109,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// respond writes v as a 200 reply, or, when err is set, err's text
+// under its StatusError code (500 for any other error).
+func respond(w http.ResponseWriter, v any, err error) {
+	if err == nil {
+		writeJSON(w, http.StatusOK, v)
+		return
+	}
+	code := http.StatusInternalServerError
+	var se *StatusError
+	if errors.As(err, &se) {
+		code = se.Code
+	}
+	writeJSON(w, code, errorReply{Error: err.Error()})
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

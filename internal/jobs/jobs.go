@@ -1,8 +1,9 @@
 // Package jobs is the durable experiment job server behind
 // cmd/aft-serve: a long-running service that accepts Fig. 6/7 campaigns
 // (experiments.AdaptiveRunConfig), E8/E9/E10 sweep grids, and chaos
-// scenarios over HTTP/JSON, executes them on a bounded worker pool, and
-// survives being killed at any instant.
+// scenarios over HTTP/JSON, executes them on lease holders — in-process
+// ones, remote aft-worker processes, or both — and survives being
+// killed at any instant.
 //
 // Durability is checkpoint-backed, not best-effort: a running campaign
 // snapshots through experiments.Campaign.Snapshot and

@@ -153,13 +153,12 @@ func (t *Table) Acquire(job, worker string) (Lease, error) {
 	return Lease{Job: job, Worker: worker, Token: e.token, Deadline: e.deadline}, nil
 }
 
-// check validates a fence under t.mu.
+// check validates a fence under t.mu. An expired entry stays in the
+// table: only Expire removes it, so the reaper always sees the lapse and
+// requeues the job, however soon a stale write follows the deadline.
 func (t *Table) check(job, worker string, token uint64) (*entry, error) {
 	e, ok := t.held[job]
 	if !ok || !t.now().Before(e.deadline) {
-		if ok {
-			delete(t.held, job) // lazily evict the expired entry
-		}
 		return nil, FencedError{Job: job, Token: token, Current: t.fence[job]}
 	}
 	if e.worker != worker || e.token != token {

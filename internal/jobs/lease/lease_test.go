@@ -128,6 +128,28 @@ func TestExpiryTakeoverFencesOldHolder(t *testing.T) {
 	}
 }
 
+// TestStaleWriteLeavesExpiryToReaper is the reproducer for a lapse the
+// reaper could miss: a write that arrived after the deadline but before
+// the next Expire used to evict the entry itself, so Expire never
+// reported it and the coordinator never requeued the job.
+func TestStaleWriteLeavesExpiryToReaper(t *testing.T) {
+	clk, tb := newFake()
+	l, err := tb.Acquire("j", "slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(time.Second)
+	if err := tb.Check("j", "slow", l.Token); !IsFenced(err) {
+		t.Fatalf("write after the deadline: %v, want fenced", err)
+	}
+	if _, err := tb.Renew("j", "slow", l.Token); !IsFenced(err) {
+		t.Fatalf("renew after the deadline: %v, want fenced", err)
+	}
+	if got := tb.Expire(); len(got) != 1 || got[0].Job != "j" || got[0].Token != l.Token {
+		t.Fatalf("Expire after stale writes = %+v, want the lapsed lease", got)
+	}
+}
+
 func TestExpireReapsAndRequeuesSorted(t *testing.T) {
 	clk, tb := newFake()
 	for _, j := range []string{"b", "a", "c"} {

@@ -1,11 +1,8 @@
-// Shared job execution: the code that turns a validated Spec into a
-// terminal Result. These helpers are exported (within the module)
-// because two very different callers must produce bit-identical
-// results from the same spec — the coordinator's local worker pool
-// (server.go) and the stateless fleet workers (internal/jobs/worker)
-// that lease jobs over the /v1 protocol. Keeping one implementation is
-// what makes "run it here" and "run it anywhere on the fleet"
-// indistinguishable in the transcript bytes.
+// Job execution: the code that turns a validated Spec into a terminal
+// Result. The lease holder's loop (holder.go) is its only caller in the
+// program, whether the holder runs inside the server or in an
+// aft-worker process; the helpers are exported so tests and the
+// benchmark can compute a job's expected result directly.
 
 package jobs
 

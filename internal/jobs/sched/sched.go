@@ -1,6 +1,7 @@
 // Package sched is the job server's admission scheduler: a
 // deterministic priority + per-client fair queue that replaces FIFO
-// dispatch for both the local worker pool and fleet /v1/lease grants.
+// dispatch for every lease grant, to in-process holders and fleet
+// workers alike.
 //
 // Structure: every job belongs to a priority class (high, normal, low)
 // and a client (the submitter's self-reported ID; jobs without one

@@ -1,6 +1,6 @@
-// The job server: a bounded worker pool over the on-disk store, with
-// checkpoint-backed execution for campaigns and graceful, durable
-// shutdown.
+// The job server: the on-disk store, the run queue, and the in-process
+// lease holders that run jobs through the same protocol as the fleet,
+// with graceful, durable shutdown.
 
 package jobs
 
@@ -26,8 +26,8 @@ type Options struct {
 	// Dir is the job-store root (created if absent). Exactly one live
 	// server may own a store directory at a time.
 	Dir string
-	// Workers bounds the pool; values <= 0 mean one worker per CPU
-	// (the experiments.Workers convention).
+	// Workers is how many in-process lease holders run jobs; values
+	// <= 0 mean one per CPU (the experiments.Workers convention).
 	Workers int
 	// CheckpointEvery is the campaign snapshot cadence in voting
 	// rounds; values <= 0 select the default of 100 000 rounds. A crash
@@ -35,8 +35,8 @@ type Options struct {
 	// campaign, never any completed job.
 	CheckpointEvery int64
 
-	// DisableLocalPool runs the server as a pure coordinator: no local
-	// worker goroutines, so jobs execute only when fleet workers lease
+	// DisableLocalPool runs the server as a pure coordinator: no
+	// in-process holders, so jobs execute only when fleet workers lease
 	// them over the /v1 protocol (see fleet.go). The client-facing API
 	// is unchanged.
 	DisableLocalPool bool
@@ -78,12 +78,12 @@ type Options struct {
 	testHoldRecovery chan struct{}
 
 	// testHaltAfter is a test-only crash simulator (settable only from
-	// inside the package): when positive, the worker that writes that
-	// many campaign checkpoints (counted server-wide) abandons its job
-	// on the spot — no result, no state transition, worker gone —
-	// leaving exactly the disk state a kill -9 at that instant leaves.
-	// Tests then open a fresh Server on the same store and assert
-	// byte-identical recovery.
+	// inside the package): when positive, the upload that lands that
+	// many campaign checkpoints (counted server-wide) stops every
+	// in-process holder on the spot — no result, no state transition,
+	// holders gone — leaving exactly the disk state a kill -9 at that
+	// instant leaves. Tests then open a fresh Server on the same store
+	// and assert byte-identical recovery.
 	testHaltAfter int64
 }
 
@@ -101,7 +101,7 @@ var eventBusQueue = 64
 // job is the in-memory face of one stored job. The state and result
 // fields are guarded by the server mutex; progress counters are atomic
 // so the HTTP handlers and the /metricz scraper read them without
-// touching the worker's locks.
+// touching the holders' locks.
 type job struct {
 	id   string
 	seq  int64
@@ -122,19 +122,13 @@ type job struct {
 	ckptRounds atomic.Int64 // rounds covered by the last durable checkpoint
 
 	// runTo is the round the current lease is expected to reach (the
-	// shard end granted to a fleet worker); meaningful only while the
-	// job is leased.
+	// shard end granted to its holder); meaningful only while the job
+	// is leased.
 	runTo atomic.Int64
-	// uploadMu serializes fleet checkpoint uploads for this job, so a
-	// fence check and the store write it guards are atomic with respect
-	// to a competing (newer-leased) uploader.
+	// uploadMu serializes checkpoint uploads for this job, so a fence
+	// check and the store write it guards are atomic with respect to a
+	// competing (newer-leased) uploader.
 	uploadMu sync.Mutex
-
-	// restored carries the campaign recover() already rebuilt from the
-	// job's on-disk checkpoint, so the worker that picks the job up
-	// does not read and restore the same snapshot a second time.
-	// Guarded by Server.mu; consumed (nilled) by the worker.
-	restored *experiments.Campaign
 
 	// submittedAt is when this server process accepted the job (zero
 	// for jobs recovered from a previous process — their end-to-end
@@ -180,13 +174,13 @@ type Server struct {
 	order  []string     // job IDs in submission order
 	queue  *sched.Queue // runnable jobs, fair-queued by client and class
 	closed bool
-	ready  bool // recovery replay finished; workers may run and lease
+	ready  bool // recovery replay finished; holders may lease
 	seq    int64
 	notes  []string // recovery notes from the startup scan
 
-	// leases is the fleet's fenced lease table; fleetWorkers is the
-	// registry of every worker name that has ever leased, keyed by
-	// name and guarded by mu.
+	// leases is the fenced lease table every running job holds a lease
+	// in; fleetWorkers is the registry of every holder name that has
+	// ever leased, keyed by name and guarded by mu.
 	leases       *lease.Table
 	fleetWorkers map[string]*WorkerInfo
 
@@ -207,7 +201,6 @@ type Server struct {
 	resumedJobs          metrics.AtomicCounter
 	checkpointsWritten   metrics.AtomicCounter
 	roundsRun            metrics.AtomicCounter
-	runningJobs          metrics.Gauge
 
 	rateLimited   metrics.AtomicCounter
 	queueRejected metrics.AtomicCounter
@@ -228,16 +221,18 @@ type Server struct {
 	// observe shutdown without polling.
 	closing chan struct{}
 
-	// halted is closed when the Options.testHaltAfter crash simulator
-	// fires.
-	halted   chan struct{}
-	haltOnce sync.Once
+	// halted is the in-process holders' context's Done channel, and
+	// halt cancels that context: the Options.testHaltAfter crash
+	// simulator does so to stop every holder where it stands, and Close
+	// once they have stopped.
+	halted <-chan struct{}
+	halt   context.CancelFunc
 }
 
 // NewServer opens (creating if needed) the job store at opts.Dir,
 // recovers every stored job — terminal jobs load their results,
 // in-flight ones re-enter the queue, campaigns at their last checkpoint
-// — and starts the worker pool.
+// — and starts opts.Workers in-process lease holders.
 func NewServer(opts Options) (*Server, error) {
 	st, err := openStore(opts.Dir)
 	if err != nil {
@@ -272,7 +267,6 @@ func NewServer(opts Options) (*Server, error) {
 		fleetWorkers: make(map[string]*WorkerInfo),
 		readyCh:      make(chan struct{}),
 		closing:      make(chan struct{}),
-		halted:       make(chan struct{}),
 		queueWait:    metrics.NewHistogram(metrics.DefLatencyBuckets()),
 		runLatency:   metrics.NewHistogram(metrics.DefLatencyBuckets()),
 	}
@@ -289,21 +283,29 @@ func NewServer(opts Options) (*Server, error) {
 	s.wg.Add(2)
 	go s.replay()
 	go s.reaper()
+	// The server owns its holders' lifetime: they stop when Close has
+	// parked their jobs, or when halt cancels their context.
+	hctx, halt := context.WithCancel(context.Background())
+	s.halted, s.halt = hctx.Done(), halt
 	if !opts.DisableLocalPool {
 		for i := 0; i < opts.Workers; i++ {
+			h := &Holder{Name: fmt.Sprintf("local-%d", i), Coordinator: s, Cache: s.cache}
 			s.wg.Add(1)
-			go s.worker()
+			go func() {
+				defer s.wg.Done()
+				h.Run(hctx)
+			}()
 		}
 	}
 	return s, nil
 }
 
-// replay is the asynchronous half of recovery: it restores each queued
-// job's campaign checkpoint (so resumption costs nothing when a worker
-// picks the job up) and then marks the server ready. Until it finishes,
-// /healthz reports "recovering" and neither the local pool nor fleet
-// leasing hands out work — a worker must never recompute rounds a
-// checkpoint already covers.
+// replay is the asynchronous half of recovery: it verifies each queued
+// job's campaign checkpoint by restoring it, parks the job at the rounds
+// it covers, and then marks the server ready. Until it finishes,
+// /healthz reports "recovering" and no holder, in process or remote, is
+// granted work — a holder must never recompute rounds a checkpoint
+// already covers.
 func (s *Server) replay() {
 	defer s.wg.Done()
 	defer s.markReady()
@@ -328,11 +330,11 @@ func (s *Server) replay() {
 			continue
 		}
 		// Only a checkpoint that actually restores parks the job as
-		// checkpointed — and its round counters are loaded so status and
-		// cancel tell the truth before a worker resumes it. One that
-		// decodes but fails the campaign cross-checks is discarded here
-		// exactly as a worker would discard it: the job recomputes from
-		// round zero rather than failing or lying.
+		// checkpointed — and its round counters are loaded so status,
+		// cancel and the resuming grant tell the truth. One that decodes
+		// but fails the campaign cross-checks is discarded: the grant
+		// ships no checkpoint and the job recomputes from round zero
+		// rather than failing or lying.
 		c, err := experiments.RestoreCampaign(snap)
 		s.mu.Lock()
 		if err != nil {
@@ -340,7 +342,6 @@ func (s *Server) replay() {
 				fmt.Sprintf("job %s: unusable checkpoint (%v); recomputing from round zero", j.id, err))
 		} else if j.state == StateQueued {
 			j.state = StateCheckpointed
-			j.restored = c
 			j.rounds.Store(c.Rounds())
 			j.ckptRounds.Store(c.Rounds())
 		}
@@ -349,7 +350,7 @@ func (s *Server) replay() {
 }
 
 // markReady transitions the server from recovering to ready exactly
-// once, waking the local pool and unblocking WaitReady.
+// once, waking the in-process holders and unblocking WaitReady.
 func (s *Server) markReady() {
 	s.mu.Lock()
 	if !s.ready {
@@ -378,8 +379,8 @@ func (s *Server) WaitReady(ctx context.Context) error {
 	}
 }
 
-// reaper periodically expires overdue fleet leases and requeues their
-// jobs from the last durable checkpoint. The dead holder's token is
+// reaper periodically expires overdue leases and requeues their jobs
+// from the last durable checkpoint. The dead holder's token is
 // already fenced by the expiry, so a late write from it cannot clobber
 // the requeued job's progress.
 func (s *Server) reaper() {
@@ -418,10 +419,9 @@ func (s *Server) requeueExpired(expired []lease.Lease) {
 			} else {
 				j.state = StateQueued
 			}
-			j.restored = nil
 			j.runTo.Store(0)
 			// Front of its client's queue: the job already waited its
-			// turn once; the dead worker must not cost it another.
+			// turn once; the dead holder must not cost it another.
 			s.enqueueLocked(j, true)
 		}
 		s.mu.Unlock()
@@ -446,7 +446,8 @@ func (s *Server) registerMetrics() {
 	s.reg.RegisterCounter("aft_jobs_resumed_total", &s.resumedJobs)
 	s.reg.RegisterCounter("aft_checkpoints_written_total", &s.checkpointsWritten)
 	s.reg.RegisterCounter("aft_rounds_executed_total", &s.roundsRun)
-	s.reg.RegisterGauge("aft_jobs_running", &s.runningJobs)
+	// Every running job holds exactly one lease.
+	s.reg.Register("aft_jobs_running", func() int64 { return int64(s.leases.Len()) })
 	s.reg.RegisterCounter("aft_leases_granted_total", &s.leasesGranted)
 	s.reg.RegisterCounter("aft_leases_expired_total", &s.leasesExpired)
 	s.reg.RegisterCounter("aft_fenced_rejects_total", &s.fencedRejects)
@@ -561,9 +562,9 @@ var ErrShuttingDown = errors.New("jobs: server is shutting down")
 var ErrQueueFull = errors.New("jobs: admission queue is full")
 
 // enqueueLocked puts a job into the run queue (front requeues it at its
-// client's queue head) and wakes a worker. The caller holds s.mu —
-// except single-threaded startup (recover), where the signal is a
-// no-op.
+// client's queue head) and wakes a waiting in-process holder. The
+// caller holds s.mu — except single-threaded startup (recover), where
+// the signal is a no-op.
 func (s *Server) enqueueLocked(j *job, front bool) {
 	j.enqueuedAt = time.Now()
 	it := sched.Item{ID: j.id, Client: j.spec.Client, Class: sched.Class(j.spec.Priority)}
@@ -628,7 +629,7 @@ func (s *Server) Submit(spec Spec) (Status, bool, error) {
 	}
 	// Reserve the ID (so concurrent identical submits dedup onto this
 	// job) but persist the spec outside the lock — an fsync must not
-	// stall status reads and worker scheduling.
+	// stall status reads and lease grants.
 	j.seq = s.seq
 	s.seq++
 	j.submittedAt = time.Now()
@@ -769,11 +770,12 @@ type ErrConflict struct{ msg string }
 func (e ErrConflict) Error() string { return e.msg }
 
 // Cancel requests a job's cancellation. A queued job is cancelled
-// immediately and durably; a running campaign is checkpointed and then
-// cancelled at its next chunk boundary (checkpoint-on-cancel), so the
-// work done so far survives on disk; a running sweep or scenario only
-// observes the request at completion and finishes as done. Cancelling a
-// terminal job returns an ErrConflict.
+// immediately and durably; a running campaign's holder learns of it on
+// its next renew or upload, and the job is cancelled at that uploaded
+// checkpoint (checkpoint-on-cancel), so the work done so far survives
+// on disk; a running sweep or scenario only observes the request at
+// completion and finishes as done. Cancelling a terminal job returns an
+// ErrConflict.
 func (s *Server) Cancel(id string) (Status, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -788,7 +790,7 @@ func (s *Server) Cancel(id string) (Status, error) {
 	}
 	j.cancel.Store(true)
 	if j.state == StateQueued || j.state == StateCheckpointed {
-		// Remove from the queue and finalize without a worker.
+		// Remove from the queue and finalize without a holder.
 		s.queue.Remove(j.id)
 		s.mu.Unlock()
 		res := &Result{
@@ -807,10 +809,11 @@ func (s *Server) Cancel(id string) (Status, error) {
 	return st, nil
 }
 
-// Close stops the server gracefully: no new jobs are accepted, idle
-// workers exit, and every running campaign writes a final checkpoint
-// and parks in StateCheckpointed, from which the next server on the
-// same store resumes it. Close returns once all workers have stopped.
+// Close stops the server gracefully: no new jobs are accepted or
+// granted, idle in-process holders exit, and every running campaign's
+// next checkpoint upload parks it in StateCheckpointed, from which the
+// next server on the same store resumes it. Close returns once the
+// in-process holders have parked their jobs and stopped.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if !s.closed {
@@ -820,8 +823,10 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	// With workers stopped, no more events are published; Close drains
-	// the per-subscriber queues so late SSE readers see what was sent.
+	s.halt() // the holders are gone; release their context
+	// With the holders stopped, no more events are published; Close
+	// drains the per-subscriber queues so late SSE readers see what was
+	// sent.
 	s.events.Close()
 	return nil
 }
@@ -833,43 +838,10 @@ func (s *Server) stopping() bool {
 	return s.closed
 }
 
-// worker is one pool goroutine: pop, execute, repeat until close.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		j := s.next()
-		if j == nil {
-			return
-		}
-		if !s.execute(j) {
-			return // simulated crash (test hook): this worker is gone
-		}
-	}
-}
-
-// next blocks for a runnable job, marking it running before returning
-// it. It returns nil when the server is closing.
-func (s *Server) next() *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.closed {
-			return nil
-		}
-		if s.ready { // no work is handed out while recovering
-			if j := s.popLocked(); j != nil {
-				return j
-			}
-		}
-		s.cond.Wait()
-	}
-}
-
 // popLocked removes and returns the scheduler's next runnable job,
 // marking it running and recording its queue wait; nil when the queue
-// holds none. Both the local pool and fleet /v1/lease grants dispatch
-// through here, so they share one fairness discipline. The caller holds
-// s.mu.
+// holds none. Every lease grant dispatches through here, so all holders
+// share one fairness discipline. The caller holds s.mu.
 func (s *Server) popLocked() *job {
 	for {
 		it, ok := s.queue.Pop()
@@ -886,24 +858,6 @@ func (s *Server) popLocked() *job {
 		j.state = StateRunning
 		return j
 	}
-}
-
-// execute runs one job to a terminal state, a parked checkpoint, or a
-// simulated crash (in which case it returns false and the worker dies).
-func (s *Server) execute(j *job) bool {
-	s.runningJobs.Inc()
-	defer s.runningJobs.Dec()
-	s.publish(j) // running
-
-	switch j.spec.Kind {
-	case KindCampaign:
-		return s.runCampaign(j)
-	case KindSweep:
-		s.runSweep(j)
-	case KindScenario:
-		s.runScenario(j)
-	}
-	return true
 }
 
 // finalize persists and publishes a terminal result. It is
@@ -951,120 +905,4 @@ func (s *Server) fail(j *job, err error) {
 		ID: j.id, Kind: j.spec.Kind, State: StateFailed,
 		Error: err.Error(), Rounds: j.rounds.Load(),
 	})
-}
-
-// runCampaign executes a Fig. 6/7 campaign in checkpointed chunks. It
-// returns false only when the test-only crash hook fired.
-func (s *Server) runCampaign(j *job) bool {
-	cfg := *j.spec.Campaign
-	s.mu.Lock()
-	c := j.restored // rebuilt once by recover(); consume it
-	j.restored = nil
-	s.mu.Unlock()
-	resumed := c != nil
-	if c == nil {
-		if snap := s.store.readCheckpoint(j.id); snap != nil {
-			// A checkpoint that fails to restore is discarded, not
-			// fatal: the snapshot is a cache of a deterministic
-			// computation, so the honest response to damage is
-			// recomputing from round zero.
-			if restored, err := experiments.RestoreCampaign(snap); err == nil {
-				c = restored
-				resumed = true
-				j.rounds.Store(c.Rounds())
-				j.ckptRounds.Store(c.Rounds())
-			}
-		}
-	}
-	if resumed {
-		s.resumedJobs.Inc()
-	}
-	if c == nil {
-		fresh, err := experiments.NewCampaign(cfg)
-		if err != nil {
-			s.fail(j, err)
-			return true
-		}
-		c = fresh
-	}
-
-	for c.Remaining() > 0 {
-		if j.cancel.Load() {
-			if err := s.writeCampaignCheckpoint(j, c); err != nil {
-				s.fail(j, err)
-				return true
-			}
-			s.finalize(j, &Result{
-				ID: j.id, Kind: j.spec.Kind, State: StateCancelled,
-				Error:  "cancelled by request",
-				Rounds: c.Rounds(),
-			})
-			return true
-		}
-		if s.stopping() {
-			// Graceful shutdown: park the campaign durably. The next
-			// server on this store resumes it from exactly here.
-			if err := s.writeCampaignCheckpoint(j, c); err != nil {
-				s.fail(j, err)
-				return true
-			}
-			s.mu.Lock()
-			j.state = StateCheckpointed
-			s.mu.Unlock()
-			s.publish(j)
-			return true
-		}
-		n := s.opts.CheckpointEvery
-		if r := c.Remaining(); n > r {
-			n = r
-		}
-		c.Run(n)
-		j.rounds.Store(c.Rounds())
-		s.roundsRun.Add(n)
-		if c.Remaining() > 0 {
-			s.publish(j) // progress: one event per checkpoint chunk
-		}
-		if c.Remaining() > 0 {
-			if err := s.writeCampaignCheckpoint(j, c); err != nil {
-				s.fail(j, err)
-				return true
-			}
-			if s.opts.testHaltAfter > 0 &&
-				s.checkpointsWritten.Value() >= s.opts.testHaltAfter {
-				s.haltOnce.Do(func() { close(s.halted) })
-				return false // simulated kill -9: abandon everything
-			}
-		}
-	}
-
-	s.finalize(j, CampaignResult(j.id, cfg, c.Result(), resumed))
-	return true
-}
-
-// writeCampaignCheckpoint snapshots a campaign durably and records the
-// covered rounds.
-func (s *Server) writeCampaignCheckpoint(j *job, c *experiments.Campaign) error {
-	snap, err := c.Snapshot()
-	if err != nil {
-		return err
-	}
-	if err := s.store.writeCheckpoint(j.id, snap); err != nil {
-		return err
-	}
-	s.checkpointsWritten.Inc()
-	j.ckptRounds.Store(c.Rounds())
-	return nil
-}
-
-// runSweep executes one ablation grid through the shared memo cache.
-// Grids are atomic units of work: a cancel request arriving mid-grid is
-// outrun by the computation (every finished cell is cached, so nothing
-// is wasted either way).
-func (s *Server) runSweep(j *job) {
-	s.finalize(j, ExecuteSweep(j.id, j.spec.Sweep, s.cache))
-}
-
-// runScenario executes one chaos scenario as an atomic unit of work.
-func (s *Server) runScenario(j *job) {
-	s.finalize(j, ExecuteScenario(j.id, j.spec.Scenario))
 }

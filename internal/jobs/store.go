@@ -23,6 +23,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"aft/internal/checkpoint"
 )
@@ -125,6 +126,29 @@ func (st *store) writeCheckpoint(id string, snap *checkpoint.Snapshot) error {
 	return snap.WriteFile(st.checkpointPath(id))
 }
 
+// sweepTemps deletes the temp files a crash left in a job directory: a
+// kill between CreateTemp and Rename in checkpoint.WriteFileAtomic skips
+// the deferred cleanup. Nothing refers to such a file — its rename never
+// happened — and one server owns a store at a time, so no live write
+// can own it. Each deletion is returned as a recovery note.
+func (st *store) sweepTemps(id string) (notes []string) {
+	entries, err := os.ReadDir(st.jobDir(id))
+	if err != nil {
+		return nil // scan reports the unreadable directory through its spec
+	}
+	for _, e := range entries {
+		if !strings.Contains(e.Name(), ".tmp-") {
+			continue
+		}
+		if err := os.Remove(filepath.Join(st.jobDir(id), e.Name())); err != nil {
+			notes = append(notes, fmt.Sprintf("job %s: stale temp file %s: %v", id, e.Name(), err))
+			continue
+		}
+		notes = append(notes, fmt.Sprintf("job %s: removed stale temp file %s left by an interrupted write", id, e.Name()))
+	}
+	return notes
+}
+
 // restoredJob is one job recovered by scan.
 type restoredJob struct {
 	id     string
@@ -147,6 +171,7 @@ func (st *store) scan() (jobs []restoredJob, notes []string, err error) {
 			continue
 		}
 		id := e.Name()
+		notes = append(notes, st.sweepTemps(id)...)
 		data, err := os.ReadFile(st.specPath(id))
 		if err != nil {
 			notes = append(notes, fmt.Sprintf("job %s: unreadable spec: %v", id, err))

@@ -499,3 +499,153 @@ func TestWorkerRunsSweepAndScenario(t *testing.T) {
 		t.Fatal("remote sweep result differs from local execution")
 	}
 }
+
+// metricz reads the server's registry into a map by sample name.
+func metricz(srv *jobs.Server) map[string]int64 {
+	out := make(map[string]int64)
+	for _, s := range srv.Metrics().Snapshot() {
+		out[s.Name] = s.Value
+	}
+	return out
+}
+
+// TestCoordinatorCountersMatchLocal pins the rounds and resume counters
+// on a coordinator with one remote worker, so they mean what they mean
+// with in-process holders: aft_rounds_executed_total covers every round
+// of a finished job, the chunk after its last checkpoint included, and
+// aft_jobs_resumed_total counts each grant that ships a checkpoint —
+// here the two shard handbacks of the 250 000-round chain.
+func TestCoordinatorCountersMatchLocal(t *testing.T) {
+	srv, base := startCoordinator(t, jobs.Options{
+		CheckpointEvery: 100_000,
+		ShardRounds:     100_000,
+		LeaseTTL:        time.Minute,
+	})
+	newFleet(t, base, 2*time.Millisecond).spawn()
+	ctx := waitCtx(t)
+	for _, step := range []struct{ steps, rounds, resumed int64 }{
+		{250_000, 250_000, 2},
+		{50_000, 300_000, 2},
+	} {
+		cfg := experiments.DefaultFig7Config(step.steps)
+		st, _, err := srv.Submit(jobs.Spec{Kind: jobs.KindCampaign, Campaign: &cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := srv.Wait(ctx, st.ID); err != nil || res.State != jobs.StateDone {
+			t.Fatalf("%d-round job: %+v err %v", step.steps, res, err)
+		}
+		m := metricz(srv)
+		if got := m["aft_rounds_executed_total"]; got != step.rounds {
+			t.Fatalf("after the %d-round job: aft_rounds_executed_total %d, want %d", step.steps, got, step.rounds)
+		}
+		if got := m["aft_jobs_resumed_total"]; got != step.resumed {
+			t.Fatalf("after the %d-round job: aft_jobs_resumed_total %d, want %d", step.steps, got, step.resumed)
+		}
+	}
+}
+
+// TestHybridShardChainKillRemoteWorker runs sharded campaigns on a
+// server with an in-process holder plus one HTTP worker.Run loop, and
+// SIGKILLs the remote worker (spawning a replacement) after
+// seeded-random checkpoint uploads. Three campaigns keep more shards
+// runnable than the one local holder can take, so both kinds of holder
+// run shards of the same chains; every stitched transcript must be
+// byte-identical to a single-process run.
+func TestHybridShardChainKillRemoteWorker(t *testing.T) {
+	srv, err := jobs.NewServer(jobs.Options{
+		Dir:             t.TempDir(),
+		Workers:         1,
+		CheckpointEvery: 2_000,
+		ShardRounds:     10_000,
+		LeaseTTL:        250 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	hs := httptest.NewServer(srv)
+	t.Cleanup(hs.Close)
+
+	cfgs := make(map[string]experiments.AdaptiveRunConfig)
+	for seed := uint64(1); seed <= 3; seed++ {
+		cfg := experiments.DefaultFig7Config(60_000)
+		cfg.Seed = seed
+		st, _, err := srv.Submit(jobs.Spec{Kind: jobs.KindCampaign, Campaign: &cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs[st.ID] = cfg
+	}
+
+	f := newFleet(t, hs.URL, 2*time.Millisecond)
+	f.spawn()
+	rng := xrand.New(0x4B1D)
+	kills := 0
+	last := int64(0)
+	ctx := waitCtx(t)
+	for {
+		done, ckpt := true, int64(0)
+		for id := range cfgs {
+			st, _ := srv.StatusOf(id)
+			done = done && st.State.Terminal()
+			ckpt += st.CheckpointRounds
+		}
+		if done {
+			break
+		}
+		if ckpt > last {
+			last = ckpt
+			if rng.Intn(3) == 0 {
+				if _, ok := f.killRandom(rng); ok {
+					kills++
+					f.spawn()
+				}
+			}
+		}
+		select {
+		case <-ctx.Done():
+			t.Fatalf("campaigns did not finish; %d kills", kills)
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
+	if kills == 0 {
+		t.Fatal("the remote worker was never killed; the property was not exercised")
+	}
+	for id, cfg := range cfgs {
+		res, err := srv.Wait(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.State != jobs.StateDone {
+			t.Fatalf("job %s: state %s (%s)", id, res.State, res.Error)
+		}
+		if res.Transcript != singleProcess(t, id, cfg) {
+			t.Fatalf("job %s: hybrid transcript after %d kills differs from single-process run", id, kills)
+		}
+	}
+
+	resp, err := http.Get(hs.URL + "/v1/workers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wr jobs.WorkersReply
+	err = json.NewDecoder(resp.Body).Decode(&wr)
+	_ = resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var local, remote int64
+	for _, w := range wr.Workers {
+		if strings.HasPrefix(w.Name, "local-") {
+			local += w.Uploads
+		} else {
+			remote += w.Uploads
+		}
+	}
+	if local == 0 || remote == 0 {
+		t.Fatalf("shard uploads: in-process %d, remote %d; want both kinds of holder to run shards (%+v)",
+			local, remote, wr.Workers)
+	}
+	t.Logf("survived %d remote kills; uploads in-process %d, remote %d", kills, local, remote)
+}
