@@ -399,12 +399,11 @@ func BenchmarkSweepParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchStep measures one lockstep round of the batch campaign
-// engine at several widths, reporting ns/lane-round — directly
-// comparable with BenchmarkAdaptiveRound's ns/op (one scalar fused
-// round). The wider variants amortize the per-round loop overhead and
-// keep each lane's SoA state hot; all widths must report 0 allocs/op
-// (also gated by TestBatchStepZeroAlloc).
+// BenchmarkBatchStep measures one-round calls of the batch campaign
+// engine at several widths, reporting ns/lane-round. Step is Run(1), so
+// this times the per-call overhead of entering every lane's window
+// rather than the kernel (BenchmarkBatchRun times that). All widths must
+// report 0 allocs/op (also gated by TestBatchStepZeroAlloc).
 func BenchmarkBatchStep(b *testing.B) {
 	for _, width := range []int{1, 8, 32, 64} {
 		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
@@ -422,6 +421,36 @@ func BenchmarkBatchStep(b *testing.B) {
 			b.StopTimer()
 			elapsed := b.Elapsed()
 			b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N)/float64(width), "ns/lane-round")
+		})
+	}
+}
+
+// BenchmarkBatchRun measures the batch kernel: Run over 100 000-round
+// chunks at the storm density of a 500k-round Fig. 7 campaign, at
+// several widths, reporting ns/lane-round. Run takes each lane through
+// the whole chunk before the next, so the per-lane cost should not
+// depend on the width. The chunks cross storms, so the allocations
+// reported are the resize rounds' HMAC signing; TestBatchRunZeroAlloc
+// gates the rounds between them.
+func BenchmarkBatchRun(b *testing.B) {
+	const chunk = 100_000
+	for _, width := range []int{1, 16, 32} {
+		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
+			cfg := experiments.DefaultFig7Config(500_000)
+			cfg.Steps = int64(b.N)*chunk + 1000
+			bc, err := experiments.NewBatchCampaign(cfg, xrand.Seeds(1906, width))
+			if err != nil {
+				b.Fatal(err)
+			}
+			bc.Run(1000) // steady state
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bc.Run(chunk)
+			}
+			b.StopTimer()
+			laneRounds := float64(b.N) * chunk * float64(width)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/laneRounds, "ns/lane-round")
 		})
 	}
 }

@@ -469,9 +469,13 @@ func runBenchBatch(steps int64, seed uint64, batchWidth int, trajectory string, 
 	fmt.Fprintf(stdout, "benchbatch: scalar baseline, %d rounds (seed %d)\n", cfg.Steps, baseCfg.Seed)
 	var baseRes experiments.AdaptiveRunResult
 	baseline, err := measureCampaign(cfg.Steps, func() error {
-		var err error
-		baseRes, err = experiments.RunAdaptive(baseCfg)
-		return err
+		eng, err := experiments.NewCampaign(baseCfg)
+		if err != nil {
+			return err
+		}
+		eng.Run(baseCfg.Steps)
+		baseRes = eng.Result()
+		return nil
 	})
 	if err != nil {
 		return err

@@ -332,12 +332,13 @@ func e8RowFrom(i int, res AdaptiveRunResult) E8Row {
 	}
 }
 
-// e8Autonomic runs the adaptive contender; like runFixed, it is an
-// independent trial seeded from scratch. It survives, with runFixed, as
-// the scalar differential oracle the batch-engine E8 rows are tested
-// against.
+// e8Autonomic runs the adaptive contender on the reference loop; like
+// runFixed, it is an independent trial seeded from scratch. It
+// survives, with runFixed, as the scalar differential oracle the
+// batch-engine E8 rows are tested against, so it must not run on the
+// batch engine itself (RunAdaptive does).
 func e8Autonomic(steps int64, seed uint64, storms StormConfig) (E8Row, error) {
-	res, err := RunAdaptive(AdaptiveRunConfig{
+	res, err := RunAdaptiveReference(AdaptiveRunConfig{
 		Steps:  steps,
 		Seed:   seed,
 		Policy: redundancy.DefaultPolicy(),

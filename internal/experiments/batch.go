@@ -1,18 +1,27 @@
-// The batch-lockstep campaign engine: W independent §3.3 campaigns
-// stepped one round at a time in lockstep over struct-of-arrays state.
+// The batch campaign engine: W independent §3.3 campaigns over
+// struct-of-arrays state, run one lane at a time.
 //
 // The scalar fused engine (engine.go) is zero-allocation but pays, per
 // round, an interface dispatch for the corruption source, a
 // pointer-chase through Switchboard -> Controller/Farm, and n ballot
 // writes plus an n-wide scan even on the all-quiet rounds that make up
-// 99.93% of the paper's Fig. 7 campaign. BatchCampaign removes all
-// three: every lane's state — PRNG words, controller counters, nonce
+// 98% of the rounds of a scaled Fig. 7 campaign. BatchCampaign removes
+// all three: every lane's state — PRNG words, controller counters, nonce
 // watermarks, occupancy rows — lives in flat slices indexed by lane, a
 // round's ballots are bit-packed into []uint64 words whose majority is
-// a popcount (voting.TallyWords), and the per-round loop is straight
-// array code with no interface or closure in sight. A quiet round costs
-// one background-probability draw and a handful of counter updates per
-// lane.
+// a popcount (voting.TallyWords), and the round loop is straight array
+// code with no interface or closure in sight.
+//
+// Run takes each lane through the whole window before the next; lanes
+// share no state, so the result is the one lockstep stepping gives. A
+// lane in background mode takes its quiet rounds in bulk: the
+// background draw of every round is still made, on the lane's storm
+// PRNG held in registers (xrand.Rand.Misses), but the counters advance
+// once per run of quiet rounds. A round the bulk step cannot account
+// for — a hit, a storm onset, a sample-grid round, the end of a quiet
+// streak — takes the per-round path. A quiet round thus costs one
+// draw and a compare, and the width of the batch no longer changes the
+// per-lane cost.
 //
 // Correctness is lane equivalence, not approximation: every lane runs
 // the same per-round draw order (storm generator split first,
@@ -22,10 +31,13 @@
 // policy (redundancy.Policy.Decide, the pure kernel Controller.Observe
 // itself runs). A lane's transcript is therefore byte-identical to the
 // scalar fused engine and the reference loop for the same seed — the
-// differential tests in batch_test.go assert it round by round — and a
-// lane extracted with LaneSnapshot restores on either scalar engine
-// (and vice versa via RestoreBatchCampaign), because it writes the
-// exact scalar campaign snapshot schema.
+// differential tests in batch_test.go assert it round by round and
+// chunk by chunk — and a lane extracted with LaneSnapshot restores on
+// either scalar engine (and vice versa via RestoreBatchCampaign),
+// because it writes the exact scalar campaign snapshot schema.
+//
+// RunAdaptive runs a one-lane batch; RunBatchParallel, the seed and
+// replica sweeps, and the E8/E10 sweeps run wider ones.
 //
 // A BatchCampaign holds interior pointers into its own slices (the
 // per-lane storm generators alias stormRng), so it must not be copied
@@ -43,17 +55,17 @@ import (
 	"aft/internal/xrand"
 )
 
-// DefaultBatchWidth is the lane count per batch the drivers use when
-// the caller does not choose one: wide enough to amortize the per-round
-// loop overhead, narrow enough that a sweep still spreads across cores.
+// DefaultBatchWidth caps the lane count per batch the drivers use when
+// the caller does not choose one. Run's per-lane cost does not depend on
+// the width, so the cap only bounds how much work one pool task holds;
+// a sweep still spreads across cores.
 const DefaultBatchWidth = 16
 
 // BatchLane describes one lane of a batch: its seed and its controller
 // policy. Lanes of one batch share Steps, the storm regime, and the
 // sampling period, but may differ in seed and policy — which is how the
 // E8 fixed-dimensioning contenders (Min == Max pins the organ) and the
-// E10 hysteresis sweep (varying LowerAfter) ride the same lockstep
-// loop.
+// E10 hysteresis sweep (varying LowerAfter) ride the same batch.
 type BatchLane struct {
 	// Seed drives the lane's randomness, exactly as AdaptiveRunConfig.Seed
 	// drives a scalar campaign.
@@ -62,16 +74,16 @@ type BatchLane struct {
 	Policy redundancy.Policy
 }
 
-// BatchCampaign steps W independent campaigns per round in lockstep
-// over struct-of-arrays state. Construct with NewBatchCampaign or
-// NewBatchCampaignLanes, drive with Step/Run/RunAll, and harvest one
-// AdaptiveRunResult per lane with Result. Do not copy a constructed
-// BatchCampaign.
+// BatchCampaign runs W independent campaigns over struct-of-arrays
+// state; every lane is always at the same round. Construct with
+// NewBatchCampaign or NewBatchCampaignLanes, drive with Step/Run/RunAll,
+// and harvest one AdaptiveRunResult per lane with Result. Do not copy a
+// constructed BatchCampaign.
 type BatchCampaign struct {
 	cfg   AdaptiveRunConfig // Seed and Policy are per-lane; see lanes
 	lanes []BatchLane
 
-	// step is the lockstep round counter, shared by every lane.
+	// step is the round every lane has reached between Run calls.
 	step int64
 
 	// Per-lane struct-of-arrays state, all indexed by lane.
@@ -195,8 +207,8 @@ func (b *BatchCampaign) Width() int { return len(b.lanes) }
 // Lane returns the descriptor of one lane.
 func (b *BatchCampaign) Lane(i int) BatchLane { return b.lanes[i] }
 
-// Rounds reports how many lockstep rounds have been stepped so far
-// (every lane has run exactly this many).
+// Rounds reports how many rounds have been run so far (every lane has
+// run exactly this many).
 func (b *BatchCampaign) Rounds() int64 { return b.step }
 
 // Remaining reports how many configured rounds are left.
@@ -222,78 +234,127 @@ func (b *BatchCampaign) RecordOutcomes(on bool) { b.record = on }
 // the Votes field is always nil.
 func (b *BatchCampaign) LaneOutcome(lane int) voting.Outcome { return b.last[lane] }
 
-// Step runs one lockstep round: every lane draws its storm intensity,
-// corrupts its first k replicas into the packed ballot, tallies by
-// popcount, and lets the policy kernel re-dimension. Off the sampling
-// grid and outside resize rounds it performs zero heap allocations.
-//
-// The loop is split into a quiet fast path and a general path. A quiet
-// round — no corruption drawn, no sampling or capture due, and the
-// policy's only move a longer quiet streak — is the overwhelmingly
-// common case (99.9%+ of the Fig. 7 regime), and costs one background
-// draw plus a handful of counter updates. The fast path is exact, not
-// approximate: outside a storm window, corruptions() reduces to a
-// single Bool(Background) draw, which the loop inlines with identical
-// stream consumption, and the streak shortcut takes precisely the
-// Decide branch that returns (n, quiet+1, 0).
-func (b *BatchCampaign) Step() {
-	step := b.step
-	golden := identity(uint64(step))
-	sample := b.red != nil && step%b.cfg.SampleEvery == 0
+// Step runs one round of every lane; it is Run(1).
+func (b *BatchCampaign) Step() { b.Run(1) }
+
+// Run steps the batch n more rounds. Lanes share no state, so Run takes
+// them one at a time through the whole window — lane 0's n rounds, then
+// lane 1's — and every lane ends where lockstep stepping would have left
+// it. Off the sampling grid and outside resize rounds it performs zero
+// heap allocations.
+func (b *BatchCampaign) Run(n int64) {
+	if n <= 0 {
+		return
+	}
+	end := b.step + n
 	for l := range b.lanes {
-		st := &b.storms[l]
+		b.runLane(l, b.step, end)
+	}
+	b.step = end
+}
+
+// runLane steps lane l through rounds [step, end).
+//
+// A lane in background mode (no storm in progress, none due) takes its
+// quiet rounds in bulk: xrand.Rand.Misses draws the lane's
+// Bool(Background) for each round, exactly the draw corruptions() takes,
+// and the counters advance once per run of quiet rounds instead of once
+// per round. A run stops before any round the bulk step cannot account
+// for — a storm onset, a sample-grid round, the round whose streak
+// reaches LowerAfter, the window's end — and those rounds, like a hit
+// (k = 1, already drawn), take the per-round path.
+func (b *BatchCampaign) runLane(l int, step, end int64) {
+	st := &b.storms[l]
+	for step < end {
 		var k int
 		if !st.inStorm && (st.nextOnset < 0 || step < st.nextOnset) {
 			// Background mode: corruptions() would draw exactly one
 			// Bool(Background) and mutate nothing else.
-			if st.rng.Bool(st.cfg.Background) {
+			if limit := b.quietLimit(l, step, end); limit > 0 {
+				quiet, hit := st.rng.Misses(st.cfg.Background, limit)
+				n := b.nFarm[l]
+				b.farmRounds[l] += quiet
+				b.replicaRounds[l] += quiet * int64(n)
+				b.occ[l*b.stride+int(n)] += quiet
+				b.quiet[l] += quiet
+				step += quiet
+				if !hit {
+					continue
+				}
+				k = 1
+			} else if st.rng.Bool(st.cfg.Background) {
 				k = 1
 			}
 		} else {
 			k = st.corruptions(step)
 		}
-		if k == 0 {
-			// Unanimous golden consensus: the outcome is fully determined
-			// by the dimensioning; no ballots, no corruption draws.
-			n := int(b.nFarm[l])
-			b.farmRounds[l]++
-			b.replicaRounds[l] += int64(n)
-			b.occ[l*b.stride+n]++
-			p := &b.lanes[l].Policy
-			if q := b.quiet[l] + 1; voting.MaxDTOF(n) > p.CriticalDTOF &&
-				q < int64(p.LowerAfter) && !sample && !b.record {
-				// The common Decide branch — dtof above critical, streak
-				// still short — inlined.
-				b.quiet[l] = q
-				continue
-			}
-			o := voting.Outcome{
-				N: n, HasMajority: true, Value: golden,
-				Dissent: 0, DTOF: voting.MaxDTOF(n), Correct: true,
-			}
-			b.finishRound(l, step, sample, o)
-			continue
-		}
-		n := int(b.nFarm[l])
-		if k > n {
-			k = n
-		}
-		crng := &b.crng[l]
-		for i := 0; i < k; i++ {
-			b.vals[i] = voting.CorruptValue(golden, crng)
-		}
-		voting.SetFirstK(b.words, k)
-		o := voting.TallyWords(n, golden, b.words, b.vals[:k], b.ballots)
-		b.farmRounds[l]++
-		if o.Failed() {
-			b.farmFailures[l]++
-			b.failures[l]++
-		}
-		b.replicaRounds[l] += int64(o.N)
-		b.occ[l*b.stride+o.N]++
-		b.finishRound(l, step, sample, o)
+		b.laneRound(l, step, k)
+		step++
 	}
-	b.step = step + 1
+}
+
+// quietLimit is how many rounds from step lane l may take in bulk if
+// they stay quiet: none unless a quiet round is the policy's plain
+// "streak + 1" (dtof above critical, no outcome capture), and never
+// past the window's end, the next storm onset, the next sample-grid
+// round, or the round whose streak reaches LowerAfter.
+func (b *BatchCampaign) quietLimit(l int, step, end int64) int64 {
+	p := &b.lanes[l].Policy
+	if b.record || voting.MaxDTOF(int(b.nFarm[l])) <= p.CriticalDTOF {
+		return 0
+	}
+	limit := end - step
+	if on := b.storms[l].nextOnset; on >= 0 && on-step < limit {
+		limit = on - step
+	}
+	if b.red != nil {
+		if d := (b.cfg.SampleEvery - step%b.cfg.SampleEvery) % b.cfg.SampleEvery; d < limit {
+			limit = d
+		}
+	}
+	if d := int64(p.LowerAfter) - 1 - b.quiet[l]; d < limit {
+		limit = d
+	}
+	return limit
+}
+
+// laneRound runs round step of lane l with k replicas corrupted: corrupt
+// the first k replicas into the packed ballot, tally by popcount, and
+// let the policy kernel re-dimension.
+func (b *BatchCampaign) laneRound(l int, step int64, k int) {
+	golden := identity(uint64(step))
+	sample := b.red != nil && step%b.cfg.SampleEvery == 0
+	n := int(b.nFarm[l])
+	if k == 0 {
+		// Unanimous golden consensus: the outcome is fully determined
+		// by the dimensioning; no ballots, no corruption draws.
+		b.farmRounds[l]++
+		b.replicaRounds[l] += int64(n)
+		b.occ[l*b.stride+n]++
+		o := voting.Outcome{
+			N: n, HasMajority: true, Value: golden,
+			Dissent: 0, DTOF: voting.MaxDTOF(n), Correct: true,
+		}
+		b.finishRound(l, step, sample, o)
+		return
+	}
+	if k > n {
+		k = n
+	}
+	crng := &b.crng[l]
+	for i := 0; i < k; i++ {
+		b.vals[i] = voting.CorruptValue(golden, crng)
+	}
+	voting.SetFirstK(b.words, k)
+	o := voting.TallyWords(n, golden, b.words, b.vals[:k], b.ballots)
+	b.farmRounds[l]++
+	if o.Failed() {
+		b.farmFailures[l]++
+		b.failures[l]++
+	}
+	b.replicaRounds[l] += int64(o.N)
+	b.occ[l*b.stride+o.N]++
+	b.finishRound(l, step, sample, o)
 }
 
 // finishRound is the shared tail of the slow paths: sample the outcome,
@@ -344,13 +405,6 @@ func (b *BatchCampaign) applyResize(l, newN int, dir redundancy.Direction) {
 	b.lastNonce[l] = nonce
 	b.resizes[l]++
 	b.nFarm[l] = int32(newN)
-}
-
-// Run steps the batch n more lockstep rounds.
-func (b *BatchCampaign) Run(n int64) {
-	for i := int64(0); i < n; i++ {
-		b.Step()
-	}
 }
 
 // RunAll steps the batch through every remaining configured round.

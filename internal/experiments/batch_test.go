@@ -392,3 +392,138 @@ func TestBatchStepZeroAllocUnderBackground(t *testing.T) {
 		t.Fatalf("batch Step allocates %v/round under background corruption", allocs)
 	}
 }
+
+// decodedLane is a lane's decoded snapshot state, engine name blanked,
+// so the batch and the reference loop compare field for field.
+func decodedLane(snap *checkpoint.Snapshot, err error) (campaignState, error) {
+	if err != nil {
+		return campaignState{}, err
+	}
+	st, err := decodeCampaign(snap)
+	st.engine = ""
+	return st, err
+}
+
+// TestBatchRunChunksMatchReference is the property test of Run's
+// quiet-run loop. A batch runs in seeded random chunks, some cut at
+// (or one round either side of) lane 0's next storm onset, sample-grid
+// round or LowerAfter round, the rest from 1 to 3 000 rounds. After
+// every chunk each lane's decoded state must equal a reference campaign
+// stepped to the same round: PRNG positions, counters, occupancy,
+// controller streak and series.
+//
+// The configurations cover every way a run of quiet rounds can end:
+// storm onsets, hits at several background rates (none, rare, frequent,
+// every round), the sampling grid, a LowerAfter of 1 (no quiet run ever
+// fits), and a policy critical at every dimensioning (the bulk path is
+// never taken).
+func TestBatchRunChunksMatchReference(t *testing.T) {
+	def := redundancy.DefaultPolicy()
+	eager := def
+	eager.LowerAfter = 1
+	// MaxDTOF(9) = 5: every round is critical, whatever the dimensioning.
+	critical := redundancy.Policy{Min: 3, Max: 9, CriticalDTOF: 5, Step: 2, LowerAfter: 1000}
+	wide := redundancy.Policy{Min: 5, Max: 9, CriticalDTOF: 0, Step: 2, LowerAfter: 1000}
+	lanes := func(policies ...redundancy.Policy) []BatchLane {
+		seeds := xrand.Seeds(1906, len(policies))
+		out := make([]BatchLane, len(policies))
+		for i, p := range policies {
+			out[i] = BatchLane{Seed: seeds[i], Policy: p}
+		}
+		return out
+	}
+	fig7 := DefaultFig7Config(60_000)
+	fig7.Storms.StormEvery = 9_000
+	for _, tc := range []struct {
+		name  string
+		cfg   AdaptiveRunConfig
+		lanes []BatchLane
+	}{
+		{"fig7", fig7, lanes(def, def, eager, critical)},
+		{"fig6", DefaultFig6Config(), lanes(def, eager, critical)},
+		{"background-0.3", AdaptiveRunConfig{Steps: 20_000, Policy: def, Storms: StormConfig{Background: 0.3}},
+			lanes(def, wide, eager)},
+		{"background-1", AdaptiveRunConfig{Steps: 5_000, Policy: def, Storms: StormConfig{Background: 1}},
+			lanes(def, wide)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := NewBatchCampaignLanes(tc.cfg, tc.lanes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs := make([]*ReferenceCampaign, len(tc.lanes))
+			for i := range tc.lanes {
+				if refs[i], err = NewReferenceCampaign(b.laneConfig(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rng := xrand.New(0xc0ffee)
+			se := tc.cfg.SampleEvery
+			for chunks := 0; b.Remaining() > 0; chunks++ {
+				step := b.Rounds()
+				var n int64
+				switch rng.Intn(4) {
+				case 0:
+					n = 1 + int64(rng.Intn(16))
+				case 1:
+					var to []int64
+					if on := b.storms[0].nextOnset; on > step {
+						to = append(to, on-step)
+					}
+					if se > 0 {
+						to = append(to, se-step%se)
+					}
+					to = append(to, int64(tc.lanes[0].Policy.LowerAfter)-b.quiet[0])
+					n = to[rng.Intn(len(to))] + int64(rng.Intn(3)) - 1
+				default:
+					n = 1 + int64(rng.Intn(3000))
+				}
+				n = max(1, min(n, b.Remaining()))
+				b.Run(n)
+				for i, rc := range refs {
+					rc.Run(n)
+					got, err := decodedLane(b.LaneSnapshot(i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := decodedLane(rc.Snapshot())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("chunk %d (rounds %d..%d) lane %d: batch state\n%+v\nreference\n%+v",
+							chunks, step, step+n, i, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestBatchRunZeroAlloc is Run's allocation gate: with sampling off,
+// 10 000-round windows of quiet and background-dissent rounds allocate
+// nothing on a 16-lane batch.
+func TestBatchRunZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  AdaptiveRunConfig
+	}{
+		// The first storm is 769 230 rounds in, past every window here.
+		{"fig7", DefaultFig7Config(10_000_000)},
+		// A single corruption is never critical at Min 5, so no resize.
+		{"background-0.3", AdaptiveRunConfig{
+			Steps:  10_000_000,
+			Policy: redundancy.Policy{Min: 5, Max: 9, CriticalDTOF: 0, Step: 2, LowerAfter: 1000},
+			Storms: StormConfig{Background: 0.3},
+		}},
+	} {
+		b, err := NewBatchCampaign(tc.cfg, xrand.Seeds(1906, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Run(1000)
+		if allocs := testing.AllocsPerRun(20, func() { b.Run(10_000) }); allocs != 0 {
+			t.Fatalf("%s: batch Run(10_000) allocates %v per call", tc.name, allocs)
+		}
+	}
+}

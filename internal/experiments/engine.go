@@ -22,9 +22,13 @@
 // and TestRoundFirstKZeroAlloc). Only the rare resize rounds allocate,
 // inside HMAC signing of the resize message.
 //
-// RunAdaptive, the E8/E10 ablations, and the parallel sweeps
-// (SweepSeeds/SweepReplicas) all run on this engine; the pre-engine loop
-// survives as RunAdaptiveReference, the differential-testing oracle.
+// This engine runs campaign jobs (internal/jobs and aft-worker),
+// aft-sim, aft-bench's bench7 and the scenario runner; the scenario
+// runner needs the CorruptionSource/FaultSource and the live
+// Switchboard that only this engine has. RunAdaptive, the E8/E10
+// ablations, and the parallel sweeps (SweepSeeds/SweepReplicas) run on
+// the batch engine (batch.go); the pre-engine loop survives as
+// RunAdaptiveReference, the differential-testing oracle.
 package experiments
 
 import (
@@ -171,8 +175,7 @@ func (c *Campaign) Run(n int64) {
 }
 
 // Result folds the flat counters into the AdaptiveRunResult shape shared
-// with the reference loop. Sampled series, if any, are the caller's to
-// attach (see RunAdaptive).
+// with the other engines, sampled series included.
 func (c *Campaign) Result() AdaptiveRunResult {
 	res := AdaptiveRunResult{
 		Hist:          metrics.NewIntHistogram(),

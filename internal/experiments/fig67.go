@@ -250,17 +250,18 @@ type AdaptiveRunResult struct {
 }
 
 // RunAdaptive executes the §3.3 autonomic loop for the configured number
-// of rounds on the fused campaign engine (see engine.go): storm
-// generation, first-K corruption, voting, and resize delivery run over
-// preallocated buffers, so rounds off the sampling grid perform zero
-// heap allocations.
+// of rounds on a one-lane batch (see batch.go): storm generation,
+// first-K corruption, voting, and resize delivery run over preallocated
+// state, quiet rounds are taken in bulk, and rounds off the sampling
+// grid perform zero heap allocations. Its result is field-identical to
+// the fused Campaign's and the reference loop's for the same config.
 func RunAdaptive(cfg AdaptiveRunConfig) (AdaptiveRunResult, error) {
-	c, err := NewCampaign(cfg)
+	b, err := NewBatchCampaign(cfg, []uint64{cfg.Seed})
 	if err != nil {
 		return AdaptiveRunResult{}, err
 	}
-	c.Run(cfg.Steps)
-	return c.Result(), nil
+	b.RunAll()
+	return b.Result(0), nil
 }
 
 // RunAdaptiveReference is the pre-engine §3.3 loop — per-round ballot

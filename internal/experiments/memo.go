@@ -150,7 +150,7 @@ type e8CellParams struct {
 
 // RunE8ParallelCached is RunE8Parallel with per-cell memoization:
 // already-computed cells are served from the cache, and the fresh ones
-// run together as lanes of one lockstep batch before being stored. A
+// run together as lanes of one batch before being stored. A
 // nil cache degenerates to RunE8Parallel.
 func RunE8ParallelCached(steps int64, seed uint64, workers int, cache *SweepCache) ([]E8Row, error) {
 	if cache == nil {
@@ -235,7 +235,7 @@ type e10CellParams struct {
 
 // RunE10ParallelCached is RunE10Parallel with per-cell memoization:
 // cached LowerAfter settings are served directly, the rest run together
-// as lanes of one lockstep batch. A nil cache degenerates to
+// as lanes of one batch. A nil cache degenerates to
 // RunE10Parallel.
 func RunE10ParallelCached(steps int64, seed uint64, lowerAfters []int, workers int, cache *SweepCache) ([]E10Row, error) {
 	if cache == nil {

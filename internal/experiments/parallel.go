@@ -93,7 +93,7 @@ func RunParallel[T any](n, workers int, task func(i int) (T, error)) ([]T, error
 // rows are identical to RunE9's for any worker count, because each cell
 // seeds its own generator from cfg.Seed. Unlike E8/E10, the E9 cells
 // are alpha-count trace sweeps, not campaign rounds — there is no
-// lockstep round loop to batch — so this sweep stays on the plain
+// campaign round loop to batch — so this sweep stays on the plain
 // worker pool rather than the lane engine.
 func RunE9Parallel(cfg E9Config, workers int) ([]E9Row, error) {
 	if err := e9Validate(cfg); err != nil {
@@ -107,7 +107,7 @@ func RunE9Parallel(cfg E9Config, workers int) ([]E9Row, error) {
 
 // RunE10Parallel evaluates the E10 hysteresis sweep on the batch
 // engine: one lane per LowerAfter setting (same seed, varying policy),
-// stepped in lockstep and sharded across the pool. The rows are
+// batched and sharded across the pool. The rows are
 // identical to the scalar per-cell runs (e10Row) for any worker count
 // or batch width.
 func RunE10Parallel(steps int64, seed uint64, lowerAfters []int, workers int) ([]E10Row, error) {
@@ -126,7 +126,7 @@ func RunE10Parallel(steps int64, seed uint64, lowerAfters []int, workers int) ([
 // RunE8Parallel evaluates the E8 dimensioning contenders (four fixed
 // organs plus the autonomic controller) on the batch engine: every
 // contender is one lane — a fixed organ is a policy with Min == Max, so
-// it can never resize — stepped in lockstep. The rows are identical to
+// it can never resize — of one batch. The rows are identical to
 // the scalar per-cell runs (runFixed, e8Autonomic), which survive as
 // the differential oracles in the tests.
 func RunE8Parallel(steps int64, seed uint64, workers int) ([]E8Row, error) {
@@ -144,7 +144,7 @@ func RunE8Parallel(steps int64, seed uint64, workers int) ([]E8Row, error) {
 
 // SweepSeeds runs the same adaptive configuration once per seed — the
 // independent-replica dimension of a Fig. 7-style campaign — on the
-// batch engine, slicing the seeds into lockstep batches sharded across
+// batch engine, slicing the seeds into batches sharded across
 // the pool. Result i always corresponds to seeds[i] and is identical to
 // RunAdaptive with that seed.
 func SweepSeeds(cfg AdaptiveRunConfig, seeds []uint64, workers int) ([]AdaptiveRunResult, error) {

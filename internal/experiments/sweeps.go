@@ -203,7 +203,7 @@ func e10Cfg(steps int64, storms StormConfig) AdaptiveRunConfig {
 
 // e10Lanes builds one batch lane per LowerAfter setting: same seed,
 // default policy with the hysteresis knob varied — the whole sweep runs
-// as one lockstep batch.
+// as one batch.
 func e10Lanes(seed uint64, lowerAfters []int) []BatchLane {
 	lanes := make([]BatchLane, len(lowerAfters))
 	for i, la := range lowerAfters {
@@ -225,13 +225,14 @@ func e10RowFrom(la int, res AdaptiveRunResult) E10Row {
 	}
 }
 
-// e10Row measures one LowerAfter setting; rows are independent runs. It
-// survives as the scalar differential oracle the batch-engine E10 rows
-// are tested against.
+// e10Row measures one LowerAfter setting on the reference loop; rows
+// are independent runs. It survives as the scalar differential oracle
+// the batch-engine E10 rows are tested against, so it must not run on
+// the batch engine itself (RunAdaptive does).
 func e10Row(steps int64, seed uint64, storms StormConfig, la int) (E10Row, error) {
 	policy := redundancy.DefaultPolicy()
 	policy.LowerAfter = la
-	res, err := RunAdaptive(AdaptiveRunConfig{
+	res, err := RunAdaptiveReference(AdaptiveRunConfig{
 		Steps:  steps,
 		Seed:   seed,
 		Policy: policy,

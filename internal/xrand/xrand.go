@@ -177,6 +177,52 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
+// Misses draws Bool(p) until it returns true or n draws have been
+// made, and reports how many draws returned false and whether a true
+// ended the run. The stream advances exactly as that many Bool(p) calls
+// would: not at all when p <= 0 (every draw is false) or p >= 1 (the
+// first draw is true), one Uint64 per draw otherwise.
+//
+// It is Bool in a loop with the state words held in locals, so a long
+// run of misses costs a few register operations per draw. The compare
+// float64(u>>11) < p·2^53 is Float64() < p with both sides scaled by
+// 2^53; both scalings are exact, so the two compares agree for every
+// draw and every p.
+func (r *Rand) Misses(p float64, n int64) (misses int64, hit bool) {
+	if n <= 0 {
+		return 0, false
+	}
+	if p <= 0 {
+		return n, false
+	}
+	if p >= 1 {
+		return 0, true
+	}
+	scaled := p * (1 << 53)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for ; misses < n; misses++ {
+		// The Uint64 transition, on the locals.
+		u := bits.RotateLeft64(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		if below(u, scaled) {
+			hit = true
+			break
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return misses, hit
+}
+
+// below reports whether draw u, read as Float64 reads it, falls below p,
+// given scaled = p·2^53.
+func below(u uint64, scaled float64) bool { return float64(u>>11) < scaled }
+
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)

@@ -281,3 +281,77 @@ func TestSeedsDeterministicAndDistinct(t *testing.T) {
 		}
 	}
 }
+
+// missesEdgeP are the probabilities at which Misses's scaled compare is
+// most likely to part from Bool's: the extremes of the open interval
+// (0, 1), the point where p·2^53 is 1, the Fig. 7 background rate, and
+// the values Misses answers without drawing.
+var missesEdgeP = []float64{
+	math.SmallestNonzeroFloat64,
+	0x1p-53,
+	1e-7,
+	0.5,
+	math.Nextafter(1, 0),
+	0, -1, 1, 2,
+}
+
+// TestMissesMatchesBool runs Misses and a plain Bool(p) loop on twin
+// generators over random run lengths: both must report the same run,
+// and leave the stream at the same state, after every call.
+func TestMissesMatchesBool(t *testing.T) {
+	ps := append([]float64{0.3, 0.9, 0.01}, missesEdgeP...)
+	lengths := New(11)
+	for _, p := range ps {
+		a, b := New(1906), New(1906)
+		for call := 0; call < 200; call++ {
+			n := int64(lengths.Intn(5000))
+			misses, hit := a.Misses(p, n)
+			var want int64
+			var wantHit bool
+			for ; want < n; want++ {
+				if b.Bool(p) {
+					wantHit = true
+					break
+				}
+			}
+			if misses != want || hit != wantHit {
+				t.Fatalf("p=%g call %d: Misses(%d) = (%d, %v), Bool loop (%d, %v)", p, call, n, misses, hit, want, wantHit)
+			}
+			if a.State() != b.State() {
+				t.Fatalf("p=%g call %d: streams diverged", p, call)
+			}
+		}
+	}
+}
+
+// TestBelowMatchesFloat64Compare checks the scaled compare draw by draw
+// against Bool's Float64() < p: on random draws, and on draws whose top
+// 53 bits sit at, just below and just above p·2^53.
+func TestBelowMatchesFloat64Compare(t *testing.T) {
+	r := New(7)
+	check := func(p float64, u uint64) {
+		t.Helper()
+		want := float64(u>>11)/(1<<53) < p
+		if got := below(u, p*(1<<53)); got != want {
+			t.Fatalf("p=%g u=%#x: scaled compare %v, Float64 compare %v", p, u, got, want)
+		}
+	}
+	ps := append([]float64{0.3, 0.999}, missesEdgeP...)
+	for _, p := range ps {
+		for i := 0; i < 10_000; i++ {
+			check(p, r.Uint64())
+		}
+		if p <= 0 || p >= 1 {
+			continue
+		}
+		m := uint64(p * (1 << 53)) // the threshold's integer part, exactly
+		for _, top := range []uint64{m - 1, m, m + 1} {
+			if top >= 1<<53 {
+				continue // m-1 wrapped below zero, or m+1 past the top
+			}
+			for i := 0; i < 16; i++ {
+				check(p, top<<11|r.Uint64()&(1<<11-1))
+			}
+		}
+	}
+}
