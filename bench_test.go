@@ -429,9 +429,8 @@ func BenchmarkBatchStep(b *testing.B) {
 // chunks at the storm density of a 500k-round Fig. 7 campaign, at
 // several widths, reporting ns/lane-round. Run takes each lane through
 // the whole chunk before the next, so the per-lane cost should not
-// depend on the width. The chunks cross storms, so the allocations
-// reported are the resize rounds' HMAC signing; TestBatchRunZeroAlloc
-// gates the rounds between them.
+// depend on the width. The chunks cross storms, raises and lowers, and
+// must report 0 allocs/op (also gated by TestBatchRunZeroAlloc).
 func BenchmarkBatchRun(b *testing.B) {
 	const chunk = 100_000
 	for _, width := range []int{1, 16, 32} {

@@ -125,6 +125,30 @@ func startWorker(t *testing.T, args ...string) *workerProc {
 	return wp
 }
 
+// waitHolding polls the coordinator's worker registry until the named
+// worker holds a lease.
+func waitHolding(t *testing.T, coordinator, name string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		resp, err := http.Get(coordinator + "/v1/workers")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wr jobs.WorkersReply
+		if err := decodeJSON(resp, &wr); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range wr.Workers {
+			if w.Name == name && w.Active >= 1 {
+				return
+			}
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("worker %s never held a lease", name)
+}
+
 // TestWorkerFleetSIGKILL is the real-process half of the distributed
 // durability proof: an in-process coordinator hands a sharded campaign
 // to two real aft-worker children, one is SIGKILLed after the first
@@ -155,6 +179,10 @@ func TestWorkerFleetSIGKILL(t *testing.T) {
 	}
 
 	victim := startWorker(t, "-coordinator", hs.URL, "-name", "victim", "-quiet")
+	// A shard chain has one lease at a time. Start the survivor only
+	// once the victim holds it, or the survivor could take it first and
+	// leave the victim no lease to lose.
+	waitHolding(t, hs.URL, "victim")
 	startWorker(t, "-coordinator", hs.URL, "-name", "survivor", "-quiet")
 
 	// SIGKILL the victim once the first checkpoint is durable. Killing

@@ -7,37 +7,48 @@
 // writes plus an n-wide scan even on the all-quiet rounds that make up
 // 98% of the rounds of a scaled Fig. 7 campaign. BatchCampaign removes
 // all three: every lane's state — PRNG words, controller counters, nonce
-// watermarks, occupancy rows — lives in flat slices indexed by lane, a
-// round's ballots are bit-packed into []uint64 words whose majority is
-// a popcount (voting.TallyWords), and the round loop is straight array
-// code with no interface or closure in sight.
+// watermarks, occupancy rows — lives in flat slices indexed by lane, and
+// the round loop is straight array code with no interface or closure in
+// sight.
 //
 // Run takes each lane through the whole window before the next; lanes
 // share no state, so the result is the one lockstep stepping gives. A
 // lane in background mode takes its quiet rounds in bulk: the
 // background draw of every round is still made, on the lane's storm
-// PRNG held in registers (xrand.Rand.Misses), but the counters advance
-// once per run of quiet rounds. A round the bulk step cannot account
-// for — a hit, a storm onset, a sample-grid round, the end of a quiet
-// streak — takes the per-round path. A quiet round thus costs one
-// draw and a compare, and the width of the batch no longer changes the
-// per-lane cost.
+// PRNG held in registers (xrand.Rand.Misses, whose hit test is an
+// integer compare on the raw draw), but the counters advance once per
+// run of quiet rounds. A round the bulk step cannot account for — a
+// hit, a storm onset, a sample-grid round, the end of a quiet streak —
+// takes the per-round path. A quiet round thus costs one draw and a
+// compare, and the width of the batch does not change the per-lane
+// cost.
+//
+// A round on the per-round path costs what its outcome needs. While
+// golden keeps a strict majority the outcome is a function of the organ
+// size and the corruption count alone, so the round draws its corrupt
+// values (to keep the stream in step) and builds the outcome directly;
+// only a round where golden lacks a strict majority packs its ballots
+// into bitset words and tallies them (voting.TallyWords). Each resize
+// is signed and verified by one keyed signer the batch holds.
 //
 // Correctness is lane equivalence, not approximation: every lane runs
 // the same per-round draw order (storm generator split first,
 // corruption-value stream second), the same first-K corruption pattern,
-// the same tally semantics (TallyWords falls back to the scalar tally
-// whenever golden lacks a strict majority), and the same controller
-// policy (redundancy.Policy.Decide, the pure kernel Controller.Observe
-// itself runs). A lane's transcript is therefore byte-identical to the
-// scalar fused engine and the reference loop for the same seed — the
-// differential tests in batch_test.go assert it round by round and
-// chunk by chunk — and a lane extracted with LaneSnapshot restores on
-// either scalar engine (and vice versa via RestoreBatchCampaign),
-// because it writes the exact scalar campaign snapshot schema.
+// the same tally semantics (the direct outcome is the one TallyWords's
+// strict-majority branch returns, and TallyWords falls back to the
+// scalar tally whenever golden lacks a strict majority), and the same
+// controller policy (redundancy.Policy.Decide, the pure kernel
+// Controller.Observe itself runs). A lane's transcript is therefore
+// byte-identical to the scalar fused engine and the reference loop for
+// the same seed — the differential tests in batch_test.go assert it
+// round by round and chunk by chunk — and a lane extracted with
+// LaneSnapshot restores on either scalar engine (and vice versa via
+// RestoreBatchCampaign), because it writes the exact scalar campaign
+// snapshot schema.
 //
-// RunAdaptive runs a one-lane batch; RunBatchParallel, the seed and
-// replica sweeps, and the E8/E10 sweeps run wider ones.
+// RunAdaptive runs a one-lane batch. RunBatchParallel, the seed and
+// replica sweeps, and the E8/E10 sweeps run one lane per pool task
+// unless a caller names a batch width.
 //
 // A BatchCampaign holds interior pointers into its own slices (the
 // per-lane storm generators alias stormRng), so it must not be copied
@@ -55,10 +66,12 @@ import (
 	"aft/internal/xrand"
 )
 
-// DefaultBatchWidth caps the lane count per batch the drivers use when
-// the caller does not choose one. Run's per-lane cost does not depend on
-// the width, so the cap only bounds how much work one pool task holds;
-// a sweep still spreads across cores.
+// DefaultBatchWidth is the customary lane count of one batch, the unit
+// the repository's benchmark sizes its seed sweep in (two batches per
+// pass, one per core of a two-core machine). RunBatchParallel and the
+// sweeps do not group lanes by it: given no width, they run each lane
+// as its own pool task, since Run's per-lane cost does not depend on
+// the width.
 const DefaultBatchWidth = 16
 
 // BatchLane describes one lane of a batch: its seed and its controller
@@ -106,6 +119,9 @@ type BatchCampaign struct {
 	stride             int
 	red, dtof          []*metrics.Series // nil unless cfg.SampleEvery > 0
 	maxLanePolicyWidth int
+
+	// signer signs and verifies every lane's resizes under campaignKey.
+	signer *redundancy.ResizeSigner
 
 	// Packed-ballot scratch, reused by every lane within a round.
 	words   []uint64
@@ -171,6 +187,7 @@ func NewBatchCampaignLanes(cfg AdaptiveRunConfig, lanes []BatchLane) (*BatchCamp
 		failures:      make([]int64, w),
 		replicaRounds: make([]int64, w),
 		stride:        maxMax + 1,
+		signer:        redundancy.NewResizeSigner(campaignKey),
 		words:         make([]uint64, voting.DissentWords(maxMax)),
 		vals:          make([]uint64, maxMax),
 		ballots:       make([]uint64, maxMax),
@@ -240,8 +257,7 @@ func (b *BatchCampaign) Step() { b.Run(1) }
 // Run steps the batch n more rounds. Lanes share no state, so Run takes
 // them one at a time through the whole window — lane 0's n rounds, then
 // lane 1's — and every lane ends where lockstep stepping would have left
-// it. Off the sampling grid and outside resize rounds it performs zero
-// heap allocations.
+// it. Off the sampling grid it performs zero heap allocations.
 func (b *BatchCampaign) Run(n int64) {
 	if n <= 0 {
 		return
@@ -318,42 +334,40 @@ func (b *BatchCampaign) quietLimit(l int, step, end int64) int64 {
 	return limit
 }
 
-// laneRound runs round step of lane l with k replicas corrupted: corrupt
-// the first k replicas into the packed ballot, tally by popcount, and
-// let the policy kernel re-dimension.
+// laneRound runs round step of lane l with k replicas corrupted (k is
+// capped at the organ's n). The corrupt values are always drawn, in
+// replica order, so the lane's corruption stream stays in step with the
+// scalar engines. While golden keeps a strict majority (n−k > n/2, and
+// always when k = 0) the outcome follows from n and k alone — it is the
+// one TallyWords's strict-majority branch returns — so the values go
+// unused; only a round where golden lacks a strict majority packs its
+// ballots and tallies them.
 func (b *BatchCampaign) laneRound(l int, step int64, k int) {
 	golden := identity(uint64(step))
 	sample := b.red != nil && step%b.cfg.SampleEvery == 0
 	n := int(b.nFarm[l])
-	if k == 0 {
-		// Unanimous golden consensus: the outcome is fully determined
-		// by the dimensioning; no ballots, no corruption draws.
-		b.farmRounds[l]++
-		b.replicaRounds[l] += int64(n)
-		b.occ[l*b.stride+n]++
-		o := voting.Outcome{
-			N: n, HasMajority: true, Value: golden,
-			Dissent: 0, DTOF: voting.MaxDTOF(n), Correct: true,
-		}
-		b.finishRound(l, step, sample, o)
-		return
-	}
-	if k > n {
-		k = n
-	}
+	k = min(k, n)
 	crng := &b.crng[l]
 	for i := 0; i < k; i++ {
 		b.vals[i] = voting.CorruptValue(golden, crng)
 	}
-	voting.SetFirstK(b.words, k)
-	o := voting.TallyWords(n, golden, b.words, b.vals[:k], b.ballots)
-	b.farmRounds[l]++
-	if o.Failed() {
-		b.farmFailures[l]++
-		b.failures[l]++
+	var o voting.Outcome
+	if n-k > n/2 {
+		o = voting.Outcome{
+			N: n, HasMajority: true, Value: golden,
+			Dissent: k, DTOF: voting.DTOF(n, k), Correct: true,
+		}
+	} else {
+		voting.SetFirstK(b.words, k)
+		o = voting.TallyWords(n, golden, b.words, b.vals[:k], b.ballots)
+		if o.Failed() {
+			b.farmFailures[l]++
+			b.failures[l]++
+		}
 	}
-	b.replicaRounds[l] += int64(o.N)
-	b.occ[l*b.stride+o.N]++
+	b.farmRounds[l]++
+	b.replicaRounds[l] += int64(n)
+	b.occ[l*b.stride+n]++
 	b.finishRound(l, step, sample, o)
 }
 
@@ -391,8 +405,8 @@ func (b *BatchCampaign) finishRound(l int, step int64, sample bool, o voting.Out
 // lockstep with its scalar twin.
 func (b *BatchCampaign) applyResize(l, newN int, dir redundancy.Direction) {
 	nonce := b.lastNonce[l] + 1
-	req := redundancy.SignResize(campaignKey, newN, dir, nonce)
-	if err := redundancy.VerifyResize(campaignKey, req); err != nil {
+	req := b.signer.Sign(newN, dir, nonce)
+	if err := b.signer.Verify(req); err != nil {
 		// Unreachable: the same key signs and verifies.
 		panic(err)
 	}
@@ -577,8 +591,7 @@ func RestoreBatchCampaign(snaps []*checkpoint.Snapshot) (*BatchCampaign, error) 
 // on a workers-wide pool. Result i corresponds to seeds[i], and the
 // results are byte-identical for every (width, workers) combination —
 // lanes are independent, so grouping is a scheduling detail. width <= 0
-// picks a width that keeps every worker busy, capped at
-// DefaultBatchWidth.
+// makes every lane its own pool task.
 func RunBatchParallel(cfg AdaptiveRunConfig, seeds []uint64, width, workers int) ([]AdaptiveRunResult, error) {
 	lanes := make([]BatchLane, len(seeds))
 	for i, s := range seeds {
@@ -590,22 +603,16 @@ func RunBatchParallel(cfg AdaptiveRunConfig, seeds []uint64, width, workers int)
 // runLanesParallel is the shared driver behind RunBatchParallel and the
 // lane-based sweeps: chunk the lanes into width-lane batches, run each
 // batch to completion on the worker pool, and flatten the per-lane
-// results back into lane order.
+// results back into lane order. width <= 0 means one lane per batch:
+// Run's per-lane cost does not depend on the width, so the finest split
+// costs nothing, and a worker that finishes early takes the next lane
+// instead of idling while a slower core works through a fixed share.
 func runLanesParallel(cfg AdaptiveRunConfig, lanes []BatchLane, width, workers int) ([]AdaptiveRunResult, error) {
 	if len(lanes) == 0 {
 		return []AdaptiveRunResult{}, nil
 	}
 	if width <= 0 {
-		// Keep every worker busy: ceil(lanes/workers), capped at the
-		// default width. Results do not depend on the choice.
-		w := Workers(workers)
-		width = (len(lanes) + w - 1) / w
-		if width > DefaultBatchWidth {
-			width = DefaultBatchWidth
-		}
-		if width < 1 {
-			width = 1
-		}
+		width = 1
 	}
 	nChunks := (len(lanes) + width - 1) / width
 	chunks, err := RunParallel(nChunks, workers, func(i int) ([]AdaptiveRunResult, error) {

@@ -416,7 +416,9 @@ func decodedLane(snap *checkpoint.Snapshot, err error) (campaignState, error) {
 // storm onsets, hits at several background rates (none, rare, frequent,
 // every round), the sampling grid, a LowerAfter of 1 (no quiet run ever
 // fits), and a policy critical at every dimensioning (the bulk path is
-// never taken).
+// never taken). They also cover every kind of storm round: golden
+// keeping a strict majority (with and without a raise), golden losing
+// it, and more corrupt replicas than the organ holds.
 func TestBatchRunChunksMatchReference(t *testing.T) {
 	def := redundancy.DefaultPolicy()
 	eager := def
@@ -424,6 +426,13 @@ func TestBatchRunChunksMatchReference(t *testing.T) {
 	// MaxDTOF(9) = 5: every round is critical, whatever the dimensioning.
 	critical := redundancy.Policy{Min: 3, Max: 9, CriticalDTOF: 5, Step: 2, LowerAfter: 1000}
 	wide := redundancy.Policy{Min: 5, Max: 9, CriticalDTOF: 0, Step: 2, LowerAfter: 1000}
+	// Pinned organs meet a level-4 storm at their own size: at 3
+	// replicas k = 4 exceeds n, and k >= 2 loses the majority.
+	pinned3 := redundancy.Policy{Min: 3, Max: 3, CriticalDTOF: 1, Step: 2, LowerAfter: 1000}
+	pinned5 := redundancy.Policy{Min: 5, Max: 5, CriticalDTOF: 1, Step: 2, LowerAfter: 1000}
+	// A strict-majority storm round never raises this lane; only a lost
+	// majority does.
+	lax := redundancy.Policy{Min: 3, Max: 9, CriticalDTOF: 0, Step: 2, LowerAfter: 1000}
 	lanes := func(policies ...redundancy.Policy) []BatchLane {
 		seeds := xrand.Seeds(1906, len(policies))
 		out := make([]BatchLane, len(policies))
@@ -434,6 +443,9 @@ func TestBatchRunChunksMatchReference(t *testing.T) {
 	}
 	fig7 := DefaultFig7Config(60_000)
 	fig7.Storms.StormEvery = 9_000
+	peak4 := fig7
+	peak4.Storms.PeakMin = 4
+	peak4.SampleEvery = 50 // the dtof series records rounds no lane raises on
 	for _, tc := range []struct {
 		name  string
 		cfg   AdaptiveRunConfig
@@ -441,6 +453,7 @@ func TestBatchRunChunksMatchReference(t *testing.T) {
 	}{
 		{"fig7", fig7, lanes(def, def, eager, critical)},
 		{"fig6", DefaultFig6Config(), lanes(def, eager, critical)},
+		{"storms-peak4", peak4, lanes(lax, pinned3, pinned5)},
 		{"background-0.3", AdaptiveRunConfig{Steps: 20_000, Policy: def, Storms: StormConfig{Background: 0.3}},
 			lanes(def, wide, eager)},
 		{"background-1", AdaptiveRunConfig{Steps: 5_000, Policy: def, Storms: StormConfig{Background: 1}},
@@ -501,29 +514,49 @@ func TestBatchRunChunksMatchReference(t *testing.T) {
 }
 
 // TestBatchRunZeroAlloc is Run's allocation gate: with sampling off,
-// 10 000-round windows of quiet and background-dissent rounds allocate
-// nothing on a 16-lane batch.
+// windows of quiet and background-dissent rounds, and windows that
+// cross storms with their raises and lowers, allocate nothing on a
+// 16-lane batch.
 func TestBatchRunZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  AdaptiveRunConfig
+		name    string
+		cfg     AdaptiveRunConfig
+		window  int64
+		resizes bool // the measured windows must raise and lower
 	}{
 		// The first storm is 769 230 rounds in, past every window here.
-		{"fig7", DefaultFig7Config(10_000_000)},
+		{"fig7", DefaultFig7Config(10_000_000), 10_000, false},
 		// A single corruption is never critical at Min 5, so no resize.
 		{"background-0.3", AdaptiveRunConfig{
 			Steps:  10_000_000,
 			Policy: redundancy.Policy{Min: 5, Max: 9, CriticalDTOF: 0, Step: 2, LowerAfter: 1000},
 			Storms: StormConfig{Background: 0.3},
-		}},
+		}, 10_000, false},
+		// A storm every 384 615 rounds: the 21 windows cross several on
+		// every lane.
+		{"fig7-storms", DefaultFig7Config(5_000_000), 100_000, true},
 	} {
 		b, err := NewBatchCampaign(tc.cfg, xrand.Seeds(1906, 16))
 		if err != nil {
 			t.Fatal(err)
 		}
 		b.Run(1000)
-		if allocs := testing.AllocsPerRun(20, func() { b.Run(10_000) }); allocs != 0 {
-			t.Fatalf("%s: batch Run(10_000) allocates %v per call", tc.name, allocs)
+		raises, lowers := sum(b.raises), sum(b.lowers)
+		if allocs := testing.AllocsPerRun(20, func() { b.Run(tc.window) }); allocs != 0 {
+			t.Fatalf("%s: batch Run(%d) allocates %v per call", tc.name, tc.window, allocs)
+		}
+		if tc.resizes && (sum(b.raises) == raises || sum(b.lowers) == lowers) {
+			t.Fatalf("%s: the measured windows raised %d and lowered %d times; want both",
+				tc.name, sum(b.raises)-raises, sum(b.lowers)-lowers)
 		}
 	}
+}
+
+// sum adds up one per-lane counter.
+func sum(counts []int64) int64 {
+	var total int64
+	for _, c := range counts {
+		total += c
+	}
+	return total
 }

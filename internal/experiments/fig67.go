@@ -266,11 +266,13 @@ func RunAdaptive(cfg AdaptiveRunConfig) (AdaptiveRunResult, error) {
 
 // RunAdaptiveReference is the pre-engine §3.3 loop — per-round ballot
 // slices, a per-round corruption closure, and a map-backed histogram. It
-// is retained verbatim as the differential-testing oracle for the fused
-// engine: for any valid config its result renders byte-identically to
-// RunAdaptive's (asserted by the engine determinism tests), and the
-// benchmark snapshot (BENCH_fig7.json) records its speed as the
-// baseline the engine is measured against.
+// is retained verbatim as the differential-testing oracle for every
+// campaign engine: the fused engine (NewCampaign) and the batch engine
+// RunAdaptive runs on must, for any valid config, render results
+// byte-identical to its (asserted by the engine determinism tests and
+// the batch differential tests), and the benchmark snapshot
+// (BENCH_fig7.json) records its speed as the baseline the engines are
+// measured against.
 func RunAdaptiveReference(cfg AdaptiveRunConfig) (AdaptiveRunResult, error) {
 	rc, err := NewReferenceCampaign(cfg)
 	if err != nil {

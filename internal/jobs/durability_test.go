@@ -189,12 +189,14 @@ func TestScanSweepsStaleTempFiles(t *testing.T) {
 			t.Fatalf("recovery note %q", n)
 		}
 	}
-	if left, err := filepath.Glob(filepath.Join(s.store.jobDir(id), "*.tmp-*")); err != nil || len(left) != 0 {
-		t.Fatalf("temp files left after scan: %v %v", left, err)
-	}
 	res, err := s.Wait(waitCtx(t), id)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Look only once the job is done: while it runs, its own atomic
+	// writes hold live temp files in the same directory.
+	if left, err := filepath.Glob(filepath.Join(s.store.jobDir(id), "*.tmp-*")); err != nil || len(left) != 0 {
+		t.Fatalf("temp files left after scan: %v %v", left, err)
 	}
 	if res.State != StateDone || res.Transcript != uninterrupted(t, testCampaign(20_000, 0)) {
 		t.Fatalf("job beside the stale files: state %s (%s), transcript matches %v",

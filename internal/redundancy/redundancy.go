@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 
 	"aft/internal/voting"
 	"aft/internal/xrand"
@@ -213,29 +214,64 @@ var ErrBadMAC = errors.New("redundancy: resize request failed authentication")
 // to pin the organ at minimal redundancy.
 var ErrReplayedNonce = errors.New("redundancy: replayed or stale resize nonce")
 
-func macPayload(newN int, dir Direction, nonce uint64) []byte {
-	var buf [24]byte
-	binary.BigEndian.PutUint64(buf[0:8], uint64(int64(newN)))
-	binary.BigEndian.PutUint64(buf[8:16], uint64(int64(dir)))
-	binary.BigEndian.PutUint64(buf[16:24], nonce)
-	return buf[:]
+// ResizeSigner signs and verifies resize requests under one key. It
+// keys HMAC-SHA256 once; every message resets the keyed state instead
+// of keying afresh, and the payload and tags live in the signer, so a
+// long run of resizes neither re-keys nor allocates. A ResizeSigner is
+// not safe for concurrent use.
+type ResizeSigner struct {
+	mac hash.Hash
+	// used is set once mac has taken a message. A fresh mac is already
+	// keyed and empty, so a one-shot signer (SignResize, VerifyResize)
+	// skips Reset, whose first call also saves the keyed state.
+	used bool
+	// payload is the MAC input: NewN, Direction and Nonce, big-endian.
+	// It lives here because a stack buffer escapes through Write.
+	payload [24]byte
+	tag     [sha256.Size]byte // Sign's output
+	check   [sha256.Size]byte // Verify's recomputed tag
+}
+
+// NewResizeSigner keys a signer with key.
+func NewResizeSigner(key []byte) *ResizeSigner {
+	return &ResizeSigner{mac: hmac.New(sha256.New, key)}
+}
+
+// sum writes the tag over (newN, dir, nonce) into dst's storage.
+func (s *ResizeSigner) sum(dst []byte, newN int, dir Direction, nonce uint64) []byte {
+	binary.BigEndian.PutUint64(s.payload[0:8], uint64(int64(newN)))
+	binary.BigEndian.PutUint64(s.payload[8:16], uint64(int64(dir)))
+	binary.BigEndian.PutUint64(s.payload[16:24], nonce)
+	if s.used {
+		s.mac.Reset()
+	}
+	s.used = true
+	s.mac.Write(s.payload[:])
+	return s.mac.Sum(dst[:0])
+}
+
+// Sign builds an authenticated resize request. Its MAC is the signer's
+// own buffer, valid until the next Sign.
+func (s *ResizeSigner) Sign(newN int, dir Direction, nonce uint64) ResizeRequest {
+	return ResizeRequest{NewN: newN, Direction: dir, Nonce: nonce, MAC: s.sum(s.tag[:], newN, dir, nonce)}
+}
+
+// Verify authenticates a resize request.
+func (s *ResizeSigner) Verify(r ResizeRequest) error {
+	if !hmac.Equal(s.sum(s.check[:], r.NewN, r.Direction, r.Nonce), r.MAC) {
+		return ErrBadMAC
+	}
+	return nil
 }
 
 // SignResize builds an authenticated resize request.
 func SignResize(key []byte, newN int, dir Direction, nonce uint64) ResizeRequest {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(macPayload(newN, dir, nonce))
-	return ResizeRequest{NewN: newN, Direction: dir, Nonce: nonce, MAC: mac.Sum(nil)}
+	return NewResizeSigner(key).Sign(newN, dir, nonce)
 }
 
 // VerifyResize authenticates a resize request.
 func VerifyResize(key []byte, r ResizeRequest) error {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(macPayload(r.NewN, r.Direction, r.Nonce))
-	if !hmac.Equal(mac.Sum(nil), r.MAC) {
-		return ErrBadMAC
-	}
-	return nil
+	return NewResizeSigner(key).Verify(r)
 }
 
 // --- Switchboard --------------------------------------------------------

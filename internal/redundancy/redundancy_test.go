@@ -1,6 +1,7 @@
 package redundancy
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -183,6 +184,33 @@ func TestVerifyRejectsTampering(t *testing.T) {
 	}
 	if err := VerifyResize([]byte("wrong-key"), req); !errors.Is(err, ErrBadMAC) {
 		t.Fatalf("wrong key: %v", err)
+	}
+}
+
+// TestResizeSignerReuse drives one signer through a run of signs and
+// verifies, a rejected forgery among them: every tag must equal the
+// one-shot SignResize tag, and every genuine request must verify on the
+// reused signer and on VerifyResize.
+func TestResizeSignerReuse(t *testing.T) {
+	key := []byte("test-key")
+	s := NewResizeSigner(key)
+	for nonce := uint64(1); nonce <= 20; nonce++ {
+		newN, dir := 3+2*int(nonce%4), Direction(1+nonce%2)
+		req := s.Sign(newN, dir, nonce)
+		if want := SignResize(key, newN, dir, nonce); !bytes.Equal(req.MAC, want.MAC) {
+			t.Fatalf("nonce %d: reused signer's tag %x, one-shot %x", nonce, req.MAC, want.MAC)
+		}
+		if err := s.Verify(req); err != nil {
+			t.Fatalf("nonce %d: reused signer rejects its own request: %v", nonce, err)
+		}
+		if err := VerifyResize(key, req); err != nil {
+			t.Fatalf("nonce %d: VerifyResize rejects the reused signer's request: %v", nonce, err)
+		}
+		forged := req
+		forged.Nonce++
+		if err := s.Verify(forged); !errors.Is(err, ErrBadMAC) {
+			t.Fatalf("nonce %d: forged request: %v", nonce, err)
+		}
 	}
 }
 

@@ -183,11 +183,9 @@ func (r *Rand) Bool(p float64) bool {
 // would: not at all when p <= 0 (every draw is false) or p >= 1 (the
 // first draw is true), one Uint64 per draw otherwise.
 //
-// It is Bool in a loop with the state words held in locals, so a long
-// run of misses costs a few register operations per draw. The compare
-// float64(u>>11) < p·2^53 is Float64() < p with both sides scaled by
-// 2^53; both scalings are exact, so the two compares agree for every
-// draw and every p.
+// It is Bool in a loop with the state words held in locals and the hit
+// test done on the raw draw (see hitThreshold), so a long run of misses
+// costs a few register operations per draw.
 func (r *Rand) Misses(p float64, n int64) (misses int64, hit bool) {
 	if n <= 0 {
 		return 0, false
@@ -198,7 +196,7 @@ func (r *Rand) Misses(p float64, n int64) (misses int64, hit bool) {
 	if p >= 1 {
 		return 0, true
 	}
-	scaled := p * (1 << 53)
+	thresh := hitThreshold(p)
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	for ; misses < n; misses++ {
 		// The Uint64 transition, on the locals.
@@ -210,7 +208,7 @@ func (r *Rand) Misses(p float64, n int64) (misses int64, hit bool) {
 		s0 ^= s3
 		s2 ^= t
 		s3 = bits.RotateLeft64(s3, 45)
-		if below(u, scaled) {
+		if u < thresh {
 			hit = true
 			break
 		}
@@ -219,9 +217,13 @@ func (r *Rand) Misses(p float64, n int64) (misses int64, hit bool) {
 	return misses, hit
 }
 
-// below reports whether draw u, read as Float64 reads it, falls below p,
-// given scaled = p·2^53.
-func below(u uint64, scaled float64) bool { return float64(u>>11) < scaled }
+// hitThreshold returns the integer t with u < t exactly when draw u,
+// read as Float64 reads it, falls below p, for 0 < p < 1. Float64 is
+// (u>>11)/2^53, so the test is u>>11 < p·2^53; the scaling is exact,
+// and u>>11 is an integer, so that holds exactly when u>>11 <
+// ⌈p·2^53⌉, that is when u < ⌈p·2^53⌉·2^11. p < 1 keeps ⌈p·2^53⌉ at
+// most 2^53−1, so the shift cannot overflow.
+func hitThreshold(p float64) uint64 { return uint64(math.Ceil(p*(1<<53))) << 11 }
 
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -282,8 +283,8 @@ func TestSeedsDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
-// missesEdgeP are the probabilities at which Misses's scaled compare is
-// most likely to part from Bool's: the extremes of the open interval
+// missesEdgeP are the probabilities at which Misses's integer hit test
+// is most likely to part from Bool's: the extremes of the open interval
 // (0, 1), the point where p·2^53 is 1, the Fig. 7 background rate, and
 // the values Misses answers without drawing.
 var missesEdgeP = []float64{
@@ -324,34 +325,53 @@ func TestMissesMatchesBool(t *testing.T) {
 	}
 }
 
-// TestBelowMatchesFloat64Compare checks the scaled compare draw by draw
-// against Bool's Float64() < p: on random draws, and on draws whose top
-// 53 bits sit at, just below and just above p·2^53.
+// TestBelowMatchesFloat64Compare checks Misses's integer hit test draw
+// by draw against Bool's Float64() < p: one-draw Misses calls on the
+// draws at, one below and one above hitThreshold(p), and on random
+// draws.
 func TestBelowMatchesFloat64Compare(t *testing.T) {
 	r := New(7)
-	check := func(p float64, u uint64) {
-		t.Helper()
-		want := float64(u>>11)/(1<<53) < p
-		if got := below(u, p*(1<<53)); got != want {
-			t.Fatalf("p=%g u=%#x: scaled compare %v, Float64 compare %v", p, u, got, want)
-		}
-	}
 	ps := append([]float64{0.3, 0.999}, missesEdgeP...)
 	for _, p := range ps {
-		for i := 0; i < 10_000; i++ {
-			check(p, r.Uint64())
-		}
 		if p <= 0 || p >= 1 {
-			continue
+			continue // Misses answers these without drawing
 		}
-		m := uint64(p * (1 << 53)) // the threshold's integer part, exactly
-		for _, top := range []uint64{m - 1, m, m + 1} {
-			if top >= 1<<53 {
-				continue // m-1 wrapped below zero, or m+1 past the top
+		thresh := hitThreshold(p)
+		draws := []uint64{thresh - 1, thresh, thresh + 1}
+		for i := 0; i < 10_000; i++ {
+			draws = append(draws, r.Uint64())
+		}
+		for _, u := range draws {
+			if got := drawing(u).Uint64(); got != u {
+				t.Fatalf("drawing(%#x) draws %#x", u, got)
 			}
-			for i := 0; i < 16; i++ {
-				check(p, top<<11|r.Uint64()&(1<<11-1))
+			want := drawing(u).Float64() < p
+			if _, got := drawing(u).Misses(p, 1); got != want {
+				t.Fatalf("p=%g u=%#x thresh=%#x: Misses hit %v, Float64 compare %v", p, u, thresh, got, want)
 			}
 		}
 	}
+}
+
+// drawing returns a generator whose next Uint64 is u. xoshiro256**
+// outputs rotl(s1·5, 7)·9; 5 and 9 are odd, so invertible modulo 2^64,
+// and s1 follows from u. The other words only keep the state nonzero.
+func drawing(u uint64) *Rand {
+	s1 := bits.RotateLeft64(u*inverse64(9), -7) * inverse64(5)
+	r := &Rand{}
+	if err := r.SetState([4]uint64{1, s1, 0, 0}); err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// inverse64 returns the inverse of odd x modulo 2^64 by Newton's
+// iteration: x is its own inverse modulo 8, and each step doubles the
+// number of correct low bits.
+func inverse64(x uint64) uint64 {
+	y := x
+	for i := 0; i < 5; i++ {
+		y *= 2 - x*y
+	}
+	return y
 }
