@@ -129,7 +129,7 @@ func BenchmarkE7SelectionMatrix(b *testing.B) {
 func BenchmarkE8Dimensioning(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunE8(60_000, 42)
+		rows, err := experiments.RunE8(60_000, 42, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func BenchmarkE9AlphaSweep(b *testing.B) {
 	cfg.Traces = 50
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunE9(cfg)
+		rows, err := experiments.RunE9(cfg, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func BenchmarkE9AlphaSweep(b *testing.B) {
 func BenchmarkE10HysteresisSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunE10(60_000, 42, []int{10, 1000, 10000})
+		rows, err := experiments.RunE10(60_000, 42, []int{10, 1000, 10000}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -374,7 +374,7 @@ func BenchmarkSweepSerial(b *testing.B) {
 	cfg.Traces = 50
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunE9(cfg)
+		rows, err := experiments.RunE9(cfg, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -389,7 +389,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 	cfg.Traces = 50
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunE9Parallel(cfg, 0)
+		rows, err := experiments.RunE9(cfg, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

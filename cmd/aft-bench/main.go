@@ -4,20 +4,14 @@
 //
 // Usage:
 //
-//	aft-bench [-fig 4|5|6|7|e5|e6|e7|e8|bench7|benchbatch|all] [-steps N]
-//	          [-seed S] [-parallel W] [-batch-width W] [-bench-out FILE]
-//	          [-cache DIR] [-trajectory FILE]
+//	aft-bench [-fig 4|5|6|7|e5|e6|e7|e8|e9|e10|bench7|benchbatch|all]
+//	          [-steps N] [-seed S] [-parallel W] [-batch-width W]
+//	          [-bench-out FILE] [-trajectory FILE]
 //
 // -steps applies to the Fig. 7 run; pass 65000000 for the paper's full
 // 65-million-step experiment. -parallel runs the independent-trial
 // sweeps (E8, E9, E10) on a worker pool of W goroutines (0 = one per
 // CPU); results are byte-identical to the serial run.
-//
-// -cache DIR memoizes the E8/E9/E10 sweep cells on disk,
-// content-addressed by the cell's complete parameter set (spec hash +
-// seed): cells already computed by any previous invocation are served
-// from the cache and only fresh cells run. The rows are byte-identical
-// with and without the cache.
 //
 // -fig bench7 times the §3.3 campaign hot path on both the fused
 // zero-allocation engine and the pre-engine reference loop, and writes a
@@ -76,7 +70,6 @@ func run(args []string, stdout io.Writer) error {
 	parallel := fs.Int("parallel", 1, "worker pool for the E8/E9/E10 sweeps: 1 = serial, 0 = one per CPU, N = N workers")
 	batchWidth := fs.Int("batch-width", 0, "lanes per batch for -fig benchbatch: 0 sweeps {1,8,16,32}, W measures only width W")
 	benchOut := fs.String("bench-out", "BENCH_fig7.json", "where -fig bench7 writes its JSON snapshot")
-	cacheDir := fs.String("cache", "", "memoize E8/E9/E10 sweep cells in DIR, content-addressed by spec hash + seed (empty = no cache)")
 	trajectory := fs.String("trajectory", "BENCH_trajectory.json", "append-only perf history -fig bench7 extends (empty = skip)")
 	serveLoad := fs.Bool("serve-load", false, "run the aft-serve load harness (fifo baseline then fair scheduler) and append both results to -trajectory")
 	loadJobs := fs.Int("load-jobs", 1000, "serve-load: burst jobs, one concurrent submitter each")
@@ -102,14 +95,6 @@ func run(args []string, stdout io.Writer) error {
 			Trajectory:     *trajectory,
 			AssertFairness: *loadAssert,
 		}, stdout)
-	}
-
-	var cache *experiments.SweepCache
-	if *cacheDir != "" {
-		var err error
-		if cache, err = experiments.OpenSweepCache(*cacheDir); err != nil {
-			return err
-		}
 	}
 
 	runners := map[string]func() error{
@@ -177,7 +162,7 @@ func run(args []string, stdout io.Writer) error {
 			return nil
 		},
 		"e8": func() error {
-			rows, err := experiments.RunE8ParallelCached(200_000, *seed, *parallel, cache)
+			rows, err := experiments.RunE8(200_000, *seed, *parallel)
 			if err != nil {
 				return err
 			}
@@ -185,7 +170,7 @@ func run(args []string, stdout io.Writer) error {
 			return nil
 		},
 		"e9": func() error {
-			rows, err := experiments.RunE9ParallelCached(experiments.DefaultE9Config(), *parallel, cache)
+			rows, err := experiments.RunE9(experiments.DefaultE9Config(), *parallel)
 			if err != nil {
 				return err
 			}
@@ -193,7 +178,7 @@ func run(args []string, stdout io.Writer) error {
 			return nil
 		},
 		"e10": func() error {
-			rows, err := experiments.RunE10ParallelCached(200_000, *seed, nil, *parallel, cache)
+			rows, err := experiments.RunE10(200_000, *seed, nil, *parallel)
 			if err != nil {
 				return err
 			}
@@ -213,25 +198,12 @@ func run(args []string, stdout io.Writer) error {
 	if *parallel != 1 && (*fig == "all" || usesPool[*fig]) {
 		fmt.Fprintf(stdout, "(E8/E9/E10 sweeps on a %d-worker pool)\n", experiments.Workers(*parallel))
 	}
-	reportCache := func() {
-		if cache == nil {
-			return
-		}
-		hits, misses := cache.Stats()
-		fmt.Fprintf(stdout, "(sweep cache %s: %d hits, %d misses)\n", cache.Dir(), hits, misses)
-	}
 	if *fig != "all" {
 		r, ok := runners[*fig]
 		if !ok {
 			return fmt.Errorf("unknown figure %q (want 4, 5, 6, 7, e5..e10, bench7, benchbatch, all)", *fig)
 		}
-		if err := r(); err != nil {
-			return err
-		}
-		if usesPool[*fig] {
-			reportCache()
-		}
-		return nil
+		return r()
 	}
 	for _, k := range order {
 		fmt.Fprintf(stdout, "\n================ %s ================\n", k)
@@ -239,7 +211,6 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 	}
-	reportCache()
 	return nil
 }
 

@@ -91,35 +91,3 @@ func TestBench7AppendsTrajectory(t *testing.T) {
 		t.Fatal("corrupt trajectory accepted")
 	}
 }
-
-// TestSweepCacheFlag asserts -cache serves repeat invocations from the
-// memoized cells with identical output.
-func TestSweepCacheFlag(t *testing.T) {
-	cacheDir := filepath.Join(t.TempDir(), "cache")
-	runE10 := func(args ...string) string {
-		var buf strings.Builder
-		if err := run(append([]string{"-fig", "e10"}, args...), &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	plain := runE10()
-	cold := runE10("-cache", cacheDir)
-	warm := runE10("-cache", cacheDir)
-	if !strings.Contains(cold, "4 misses") {
-		t.Fatalf("cold cache stats missing:\n%s", cold)
-	}
-	if !strings.Contains(warm, "4 hits, 0 misses") {
-		t.Fatalf("warm cache stats missing:\n%s", warm)
-	}
-	strip := func(s string) string {
-		i := strings.Index(s, "(sweep cache")
-		if i < 0 {
-			return s
-		}
-		return s[:i]
-	}
-	if strip(cold) != plain || strip(warm) != plain {
-		t.Fatal("cached E10 output differs from uncached")
-	}
-}

@@ -203,7 +203,7 @@ func (s *Snapshot) WriteFile(path string) error {
 // file, are fsynced, and are renamed into place, so a crash mid-write
 // can never leave a half-written file where a reader will look for a
 // whole one. It is the one crash-safe write primitive shared by the
-// snapshot container, the sweep-cell memo cache, and the job store.
+// snapshot container, the job store, and aft-bench's perf history.
 func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {

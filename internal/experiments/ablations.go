@@ -277,13 +277,45 @@ var e8FixedSizes = []int{3, 5, 7, 9}
 
 // RunE8 compares fixed dimensionings (the Boulding "Thermostat") with
 // the autonomic controller (the "Cell") on the same disturbance regime.
-// It is the single-worker case of RunE8Parallel, which degenerates to a
-// plain serial loop.
-func RunE8(steps int64, seed uint64) ([]E8Row, error) {
-	return RunE8Parallel(steps, seed, 1)
+// Every contender is one lane of one batch on the batch engine, sharded
+// across workers goroutines (1 = serial, 0 = one per CPU). All lanes
+// share the seed, so the contenders race on the same disturbances. A
+// fixed organ is a policy with Min == Max == n: the controller can never
+// resize it, and Policy.Decide consumes no randomness, so its lane
+// equals the bare-farm run of runFixed. The rows are identical for any
+// worker count, and to the scalar oracles runFixed and e8Autonomic.
+func RunE8(steps int64, seed uint64, workers int) ([]E8Row, error) {
+	steps, storms := e8Setup(steps)
+	lanes := make([]BatchLane, 0, len(e8FixedSizes)+1)
+	for _, n := range e8FixedSizes {
+		lanes = append(lanes, BatchLane{Seed: seed, Policy: redundancy.Policy{
+			Min: n, Max: n, CriticalDTOF: 1, Step: 2, LowerAfter: 1000,
+		}})
+	}
+	lanes = append(lanes, BatchLane{Seed: seed, Policy: redundancy.DefaultPolicy()})
+	cfg := AdaptiveRunConfig{Steps: steps, Policy: redundancy.DefaultPolicy(), Storms: storms}
+	results, err := runLanesParallel(cfg, lanes, 0, workers)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]E8Row, len(results))
+	for i, res := range results {
+		strategy := "autonomic"
+		if i < len(e8FixedSizes) {
+			strategy = fmt.Sprintf("fixed n=%d", e8FixedSizes[i])
+		}
+		rows[i] = E8Row{
+			Strategy:      strategy,
+			Failures:      res.Failures,
+			ReplicaRounds: res.ReplicaRounds,
+			AvgRedundancy: float64(res.ReplicaRounds) / float64(res.Rounds),
+		}
+	}
+	return rows, nil
 }
 
-// e8Setup normalizes the regime shared by the serial and parallel paths.
+// e8Setup normalizes the steps and derives the storm regime of the E8
+// sweep; the tests' scalar oracles run on the same regime.
 func e8Setup(steps int64) (int64, StormConfig) {
 	if steps <= 0 {
 		steps = 200_000
@@ -294,42 +326,6 @@ func e8Setup(steps int64) (int64, StormConfig) {
 		storms.StormEvery = 2000
 	}
 	return steps, storms
-}
-
-// e8Cfg is the shared configuration of the E8 lanes (policy is
-// per-lane; see e8Lanes).
-func e8Cfg(steps int64, storms StormConfig) AdaptiveRunConfig {
-	return AdaptiveRunConfig{Steps: steps, Policy: redundancy.DefaultPolicy(), Storms: storms}
-}
-
-// e8Lanes builds one batch lane per E8 contender: the fixed organs are
-// policies with Min == Max == n (the controller can never resize, and
-// Policy.Decide consumes no randomness, so the lane's transcript equals
-// the bare-farm run of runFixed), the last lane is the autonomic
-// default policy. All lanes share the seed — the contenders race on the
-// same disturbance regime.
-func e8Lanes(seed uint64) []BatchLane {
-	lanes := make([]BatchLane, 0, len(e8FixedSizes)+1)
-	for _, n := range e8FixedSizes {
-		lanes = append(lanes, BatchLane{Seed: seed, Policy: redundancy.Policy{
-			Min: n, Max: n, CriticalDTOF: 1, Step: 2, LowerAfter: 1000,
-		}})
-	}
-	return append(lanes, BatchLane{Seed: seed, Policy: redundancy.DefaultPolicy()})
-}
-
-// e8RowFrom folds lane i's campaign result into its E8 row.
-func e8RowFrom(i int, res AdaptiveRunResult) E8Row {
-	strategy := "autonomic"
-	if i < len(e8FixedSizes) {
-		strategy = fmt.Sprintf("fixed n=%d", e8FixedSizes[i])
-	}
-	return E8Row{
-		Strategy:      strategy,
-		Failures:      res.Failures,
-		ReplicaRounds: res.ReplicaRounds,
-		AvgRedundancy: float64(res.ReplicaRounds) / float64(res.Rounds),
-	}
 }
 
 // e8Autonomic runs the adaptive contender on the reference loop; like

@@ -309,7 +309,7 @@ func TestRunBatchParallelDeterministic(t *testing.T) {
 func TestBatchE8MatchesScalarCells(t *testing.T) {
 	const steps = 50_000
 	const seed = 1906
-	rows, err := RunE8Parallel(steps, seed, 2)
+	rows, err := RunE8(steps, seed, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestBatchE10MatchesScalarCells(t *testing.T) {
 	const steps = 60_000
 	const seed = 1906
 	las := []int{10, 1000, 10000}
-	rows, err := RunE10Parallel(steps, seed, las, 3)
+	rows, err := RunE10(steps, seed, las, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -352,7 +352,7 @@ func TestE7SelectionAndSurvival(t *testing.T) {
 // --- E8 -----------------------------------------------------------------
 
 func TestE8FixedVsAutonomic(t *testing.T) {
-	rows, err := RunE8(120_000, 42)
+	rows, err := RunE8(120_000, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

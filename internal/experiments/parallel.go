@@ -89,59 +89,6 @@ func RunParallel[T any](n, workers int, task func(i int) (T, error)) ([]T, error
 	return out, nil
 }
 
-// RunE9Parallel evaluates the E9 alpha-count grid across the pool. The
-// rows are identical to RunE9's for any worker count, because each cell
-// seeds its own generator from cfg.Seed. Unlike E8/E10, the E9 cells
-// are alpha-count trace sweeps, not campaign rounds — there is no
-// campaign round loop to batch — so this sweep stays on the plain
-// worker pool rather than the lane engine.
-func RunE9Parallel(cfg E9Config, workers int) ([]E9Row, error) {
-	if err := e9Validate(cfg); err != nil {
-		return nil, err
-	}
-	nt := len(cfg.Thresholds)
-	return RunParallel(len(cfg.Ks)*nt, workers, func(i int) (E9Row, error) {
-		return e9Cell(cfg, cfg.Ks[i/nt], cfg.Thresholds[i%nt])
-	})
-}
-
-// RunE10Parallel evaluates the E10 hysteresis sweep on the batch
-// engine: one lane per LowerAfter setting (same seed, varying policy),
-// batched and sharded across the pool. The rows are
-// identical to the scalar per-cell runs (e10Row) for any worker count
-// or batch width.
-func RunE10Parallel(steps int64, seed uint64, lowerAfters []int, workers int) ([]E10Row, error) {
-	steps, lowerAfters, storms := e10Setup(steps, lowerAfters)
-	results, err := runLanesParallel(e10Cfg(steps, storms), e10Lanes(seed, lowerAfters), 0, workers)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]E10Row, len(results))
-	for i, res := range results {
-		rows[i] = e10RowFrom(lowerAfters[i], res)
-	}
-	return rows, nil
-}
-
-// RunE8Parallel evaluates the E8 dimensioning contenders (four fixed
-// organs plus the autonomic controller) on the batch engine: every
-// contender is one lane — a fixed organ is a policy with Min == Max, so
-// it can never resize — of one batch. The rows are identical to
-// the scalar per-cell runs (runFixed, e8Autonomic), which survive as
-// the differential oracles in the tests.
-func RunE8Parallel(steps int64, seed uint64, workers int) ([]E8Row, error) {
-	steps, storms := e8Setup(steps)
-	results, err := runLanesParallel(e8Cfg(steps, storms), e8Lanes(seed), 0, workers)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]E8Row, len(results))
-	for i, res := range results {
-		rows[i] = e8RowFrom(i, res)
-	}
-	return rows, nil
-}
-
 // SweepSeeds runs the same adaptive configuration once per seed — the
 // independent-replica dimension of a Fig. 7-style campaign — on the
 // batch engine, slicing the seeds into batches sharded across

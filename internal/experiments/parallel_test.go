@@ -52,12 +52,12 @@ func TestRunParallelStopsOnError(t *testing.T) {
 func TestE9ParallelMatchesSerial(t *testing.T) {
 	cfg := DefaultE9Config()
 	cfg.Traces = 40
-	serial, err := RunE9(cfg)
+	serial, err := RunE9(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 16} {
-		parallel, err := RunE9Parallel(cfg, workers)
+		parallel, err := RunE9(cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,17 +68,17 @@ func TestE9ParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d: rendered output diverges", workers)
 		}
 	}
-	if _, err := RunE9Parallel(E9Config{}, 4); err == nil {
+	if _, err := RunE9(E9Config{}, 4); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
 
 func TestE10ParallelMatchesSerial(t *testing.T) {
-	serial, err := RunE10(60_000, 42, []int{10, 1000})
+	serial, err := RunE10(60_000, 42, []int{10, 1000}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunE10Parallel(60_000, 42, []int{10, 1000}, 4)
+	parallel, err := RunE10(60_000, 42, []int{10, 1000}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,11 @@ func TestE10ParallelMatchesSerial(t *testing.T) {
 }
 
 func TestE8ParallelMatchesSerial(t *testing.T) {
-	serial, err := RunE8(30_000, 42)
+	serial, err := RunE8(30_000, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunE8Parallel(30_000, 42, 4)
+	parallel, err := RunE8(30_000, 42, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,18 +66,18 @@ func DefaultE9Config() E9Config {
 // RunE9 sweeps the alpha-count parameters over two trace populations —
 // sparse transients (must stay transient) and a permanent-fault onset
 // (must flip, quickly) — quantifying the trade-off the paper's Fig. 4
-// operating point sits on. It is the single-worker case of
-// RunE9Parallel, which degenerates to a plain serial loop.
-func RunE9(cfg E9Config) ([]E9Row, error) {
-	return RunE9Parallel(cfg, 1)
-}
-
-// e9Validate checks the sweep-wide parameters.
-func e9Validate(cfg E9Config) error {
+// operating point sits on. The grid's cells run on a pool of workers
+// goroutines (1 = serial, 0 = one per CPU). The cells are alpha-count
+// trace sweeps, not campaign rounds, so unlike E8 and E10 there is no
+// round loop to batch.
+func RunE9(cfg E9Config, workers int) ([]E9Row, error) {
 	if cfg.Traces <= 0 || cfg.TraceLen <= 0 {
-		return fmt.Errorf("experiments: E9 needs positive Traces and TraceLen")
+		return nil, fmt.Errorf("experiments: E9 needs positive Traces and TraceLen")
 	}
-	return nil
+	nt := len(cfg.Thresholds)
+	return RunParallel(len(cfg.Ks)*nt, workers, func(i int) (E9Row, error) {
+		return e9Cell(cfg, cfg.Ks[i/nt], cfg.Thresholds[i%nt])
+	})
 }
 
 // e9Cell measures one (K, threshold) configuration. Every cell seeds its
@@ -174,12 +174,39 @@ func (r E10Row) String() string {
 // regime, exposing the design trade-off behind the paper's choice of
 // 1000: lower values shed redundancy faster (cheaper, riskier near storm
 // tails, more churn), higher values hold it longer (safer, costlier).
-func RunE10(steps int64, seed uint64, lowerAfters []int) ([]E10Row, error) {
-	return RunE10Parallel(steps, seed, lowerAfters, 1)
+// Every setting is one lane of one batch on the batch engine (same seed,
+// default policy with the hysteresis knob varied), sharded across
+// workers goroutines (1 = serial, 0 = one per CPU). The rows are
+// identical for any worker count, and to the scalar oracle e10Row.
+func RunE10(steps int64, seed uint64, lowerAfters []int, workers int) ([]E10Row, error) {
+	steps, lowerAfters, storms := e10Setup(steps, lowerAfters)
+	lanes := make([]BatchLane, len(lowerAfters))
+	for i, la := range lowerAfters {
+		policy := redundancy.DefaultPolicy()
+		policy.LowerAfter = la
+		lanes[i] = BatchLane{Seed: seed, Policy: policy}
+	}
+	cfg := AdaptiveRunConfig{Steps: steps, Policy: redundancy.DefaultPolicy(), Storms: storms}
+	results, err := runLanesParallel(cfg, lanes, 0, workers)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]E10Row, len(results))
+	for i, res := range results {
+		rows[i] = E10Row{
+			LowerAfter:    lowerAfters[i],
+			Failures:      res.Failures,
+			AvgRedundancy: float64(res.ReplicaRounds) / float64(res.Rounds),
+			Resizes:       res.Raises + res.Lowers,
+			MinFraction:   res.MinFraction,
+		}
+	}
+	return rows, nil
 }
 
-// e10Setup normalizes the sweep parameters shared by the serial and
-// parallel paths.
+// e10Setup fills in the default steps and LowerAfter settings and
+// derives the storm regime of the E10 sweep; the tests' scalar oracle
+// runs on the same regime.
 func e10Setup(steps int64, lowerAfters []int) (int64, []int, StormConfig) {
 	if steps <= 0 {
 		steps = 200_000
@@ -193,36 +220,6 @@ func e10Setup(steps int64, lowerAfters []int) (int64, []int, StormConfig) {
 		storms.StormEvery = 2000
 	}
 	return steps, lowerAfters, storms
-}
-
-// e10Cfg is the shared configuration of the E10 lanes (policy is
-// per-lane; see e10Lanes).
-func e10Cfg(steps int64, storms StormConfig) AdaptiveRunConfig {
-	return AdaptiveRunConfig{Steps: steps, Policy: redundancy.DefaultPolicy(), Storms: storms}
-}
-
-// e10Lanes builds one batch lane per LowerAfter setting: same seed,
-// default policy with the hysteresis knob varied — the whole sweep runs
-// as one batch.
-func e10Lanes(seed uint64, lowerAfters []int) []BatchLane {
-	lanes := make([]BatchLane, len(lowerAfters))
-	for i, la := range lowerAfters {
-		policy := redundancy.DefaultPolicy()
-		policy.LowerAfter = la
-		lanes[i] = BatchLane{Seed: seed, Policy: policy}
-	}
-	return lanes
-}
-
-// e10RowFrom folds one lane's campaign result into its E10 row.
-func e10RowFrom(la int, res AdaptiveRunResult) E10Row {
-	return E10Row{
-		LowerAfter:    la,
-		Failures:      res.Failures,
-		AvgRedundancy: float64(res.ReplicaRounds) / float64(res.Rounds),
-		Resizes:       res.Raises + res.Lowers,
-		MinFraction:   res.MinFraction,
-	}
 }
 
 // e10Row measures one LowerAfter setting on the reference loop; rows

@@ -6,12 +6,12 @@ import (
 )
 
 func TestE9Validation(t *testing.T) {
-	if _, err := RunE9(E9Config{}); err == nil {
+	if _, err := RunE9(E9Config{}, 1); err == nil {
 		t.Fatal("empty config accepted")
 	}
 	bad := DefaultE9Config()
 	bad.Ks = []float64{2.0}
-	if _, err := RunE9(bad); err == nil {
+	if _, err := RunE9(bad, 1); err == nil {
 		t.Fatal("invalid K accepted")
 	}
 }
@@ -19,7 +19,7 @@ func TestE9Validation(t *testing.T) {
 func TestE9SweepShape(t *testing.T) {
 	cfg := DefaultE9Config()
 	cfg.Traces = 60 // keep the test quick
-	rows, err := RunE9(cfg)
+	rows, err := RunE9(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestE9SweepShape(t *testing.T) {
 }
 
 func TestE10SweepShape(t *testing.T) {
-	rows, err := RunE10(120_000, 42, []int{10, 1000, 10000})
+	rows, err := RunE10(120_000, 42, []int{10, 1000, 10000}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestE10SweepShape(t *testing.T) {
 }
 
 func TestE10Defaults(t *testing.T) {
-	rows, err := RunE10(0, 1, nil)
+	rows, err := RunE10(0, 1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,168 @@
+package jobs
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// organCapReproducer is a campaign spec whose Policy.Max of 2^31+1 once
+// made a holder allocate a 17 GB occupancy histogram and die out of
+// memory, at submit and again at every restart.
+const organCapReproducer = "testdata/organ-cap/max-2147483649.json"
+
+// TestOrganSizeCap pins the organ-size cap at POST /jobs: a campaign at
+// the cap is accepted and runs to done, one just under it is accepted,
+// and one just over it, like the committed reproducer, is refused with
+// the pinned text.
+func TestOrganSizeCap(t *testing.T) {
+	reproducer, err := os.ReadFile(organCapReproducer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// withOrgan is the reproducer with its policy band replaced.
+	withOrgan := func(min, max int) string {
+		return strings.Replace(string(reproducer), `"Min":3,"Max":2147483649`,
+			fmt.Sprintf(`"Min":%d,"Max":%d`, min, max), 1)
+	}
+	s := newTestServer(t, Options{Workers: 1})
+	for _, tc := range []struct {
+		name, body string
+		wantErr    string // empty: accepted and run to done
+	}{
+		{"at the cap", withOrgan(maxOrganSize, maxOrganSize), ""},
+		{"cap-2", withOrgan(3, maxOrganSize-2), ""},
+		{"cap+2", withOrgan(3, maxOrganSize+2), "jobs: campaign Policy.Max 257 exceeds the organ-size cap 255"},
+		{"reproducer", string(reproducer), "jobs: campaign Policy.Max 2147483649 exceeds the organ-size cap 255"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.wantErr != "" {
+				// Validate first, so a regression fails here instead of
+				// queuing a job whose holder allocates Max+1 counters.
+				var spec Spec
+				if err := json.Unmarshal([]byte(tc.body), &spec); err != nil {
+					t.Fatal(err)
+				}
+				if err := spec.Validate(); err == nil || err.Error() != tc.wantErr {
+					t.Fatalf("Validate = %v, want %q", err, tc.wantErr)
+				}
+			}
+			w := do(t, s, "POST", "/jobs", tc.body)
+			if tc.wantErr != "" {
+				var reply errorReply
+				if w.Code != http.StatusBadRequest || json.Unmarshal(w.Body.Bytes(), &reply) != nil || reply.Error != tc.wantErr {
+					t.Fatalf("POST /jobs = %d %s, want 400 %q", w.Code, w.Body, tc.wantErr)
+				}
+				return
+			}
+			var reply SubmitReply
+			if w.Code != http.StatusAccepted || json.Unmarshal(w.Body.Bytes(), &reply) != nil {
+				t.Fatalf("POST /jobs = %d %s, want 202", w.Code, w.Body)
+			}
+			res, err := s.Wait(waitCtx(t), reply.ID)
+			if err != nil || res.State != StateDone || res.Rounds != 1000 {
+				t.Fatalf("job %s: %+v, %v", reply.ID, res, err)
+			}
+		})
+	}
+	if n := len(s.List()); n != 2 {
+		t.Fatalf("%d jobs stored, want the 2 accepted", n)
+	}
+
+	// A store that already holds the reproducer, written before the cap
+	// existed: the restart scan drops it with a note instead of queuing
+	// it. The server runs no holders, so a regression cannot run it.
+	t.Run("stored reproducer", func(t *testing.T) {
+		var spec Spec
+		if err := json.Unmarshal(reproducer, &spec); err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		st, err := openStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const id = "35d4a5b3c0e1f2a7"
+		if err := st.writeSpec(id, storedSpec{Seq: 1, Spec: spec}); err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, Options{Dir: dir, DisableLocalPool: true})
+		want := fmt.Sprintf("job %s: invalid spec: jobs: campaign Policy.Max 2147483649 exceeds the organ-size cap 255", id)
+		if notes := s.RecoveryNotes(); len(notes) != 1 || notes[0] != want {
+			t.Fatalf("recovery notes %q, want [%q]", notes, want)
+		}
+		if _, ok := s.StatusOf(id); ok {
+			t.Fatal("over-cap stored job was recovered")
+		}
+	})
+}
+
+// fill is an endless body of one repeated byte.
+type fill byte
+
+// Read implements io.Reader.
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestOversizedBodiesAnswer413 sends one byte over the cap to each route
+// that reads a request body. Each answers 413 with the pinned text
+// naming the cap, and nothing reaches the job table. The body is an
+// unclosed JSON string, so a truncated read could only ever have failed
+// to decode. The 1 MiB routes are also tried with no declared length,
+// which exercises the read-side cap instead of the Content-Length check.
+func TestOversizedBodiesAnswer413(t *testing.T) {
+	s := newTestServer(t, Options{DisableLocalPool: true})
+	const (
+		mib = "request body exceeds the 1048576-byte cap"
+		ckp = "request body exceeds the 67108864-byte cap"
+	)
+	for _, tc := range []struct {
+		method, path string
+		limit        int64
+		want         string
+	}{
+		{"POST", "/jobs", maxBody, mib},
+		{"POST", "/v1/lease", maxBody, mib},
+		{"POST", "/v1/jobs/0123456789abcdef/renew", maxBody, mib},
+		{"PUT", "/v1/jobs/0123456789abcdef/checkpoint", maxCheckpointBody, ckp},
+		{"POST", "/v1/jobs/0123456789abcdef/complete", maxCheckpointBody, ckp},
+	} {
+		for _, declared := range []bool{true, false} {
+			if !declared && tc.limit > maxBody {
+				continue // streaming 64 MiB adds nothing the 1 MiB routes do not show
+			}
+			t.Run(fmt.Sprintf("%s %s declared=%v", tc.method, tc.path, declared), func(t *testing.T) {
+				body := io.MultiReader(strings.NewReader(`{"worker":"`), io.LimitReader(fill('a'), tc.limit+1-11))
+				req := httptest.NewRequest(tc.method, tc.path, body)
+				req.ContentLength = -1
+				if declared {
+					req.ContentLength = tc.limit + 1
+				}
+				req.Header.Set(HeaderWorker, "w")
+				req.Header.Set(HeaderToken, "1")
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, req)
+				var reply errorReply
+				if w.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(w.Body.Bytes(), &reply) != nil || reply.Error != tc.want {
+					t.Fatalf("%d %s, want 413 %q", w.Code, w.Body, tc.want)
+				}
+			})
+		}
+	}
+	if n := len(s.List()); n != 0 {
+		t.Fatalf("%d jobs after refused bodies", n)
+	}
+	if entries, err := os.ReadDir(filepath.Join(s.opts.Dir, "jobs")); err != nil || len(entries) != 0 {
+		t.Fatalf("store holds %d job directories (%v)", len(entries), err)
+	}
+}

@@ -6,6 +6,8 @@
 package jobs
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -13,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"aft/internal/experiments"
 )
 
 // TestKillAfterAnyCheckpointResumesByteIdentical simulates kill -9 at
@@ -201,5 +205,58 @@ func TestScanSweepsStaleTempFiles(t *testing.T) {
 	if res.State != StateDone || res.Transcript != uninterrupted(t, testCampaign(20_000, 0)) {
 		t.Fatalf("job beside the stale files: state %s (%s), transcript matches %v",
 			res.State, res.Error, res.Transcript == uninterrupted(t, testCampaign(20_000, 0)))
+	}
+}
+
+// TestStoreWithLegacyMemoDirRecovers opens testdata/memo-store, written
+// by a server from before sweep cells stopped being memoized: a done e9
+// sweep, a done e10 sweep, a queued e10 sweep whose only cell the old
+// cache already held, and memo/ with the four cached cells beside jobs/.
+// The scan reads only jobs/, so every job keeps its ID, the done jobs
+// serve their stored results, the queued one computes the row the cache
+// held, and memo/ is left as it was.
+func TestStoreWithLegacyMemoDirRecovers(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("testdata/memo-store")); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{Dir: dir, Workers: 1})
+	if notes := s.RecoveryNotes(); len(notes) != 0 {
+		t.Fatalf("recovery notes %q", notes)
+	}
+	results := make(map[string]*Result)
+	for _, id := range []string{"8a0ecb1ec27e627b", "4cf1ef85116b2e4d", "a3ff1e9a1986a0ab"} {
+		data, err := os.ReadFile(filepath.Join(dir, "jobs", id, "spec.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec storedSpec
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := rec.Spec.ID(); err != nil || got != id {
+			t.Fatalf("stored spec of %s now hashes to %s (%v)", id, got, err)
+		}
+		res, err := s.Wait(waitCtx(t), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A stored summary is indented; compare it compacted.
+		want := ExecuteSweep(id, rec.Spec.Sweep)
+		var summary bytes.Buffer
+		if res.State != StateDone || res.Transcript != want.Transcript ||
+			json.Compact(&summary, res.Summary) != nil || summary.String() != string(want.Summary) {
+			t.Fatalf("job %s: %+v, want %+v", id, res, want)
+		}
+		results[id] = res
+	}
+	var queued, done []experiments.E10Row
+	if json.Unmarshal(results["a3ff1e9a1986a0ab"].Summary, &queued) != nil ||
+		json.Unmarshal(results["4cf1ef85116b2e4d"].Summary, &done) != nil ||
+		len(queued) != 1 || len(done) != 2 || queued[0] != done[0] {
+		t.Fatalf("queued e10 row %+v, want the first row of %+v", queued, done)
+	}
+	if cells, err := os.ReadDir(filepath.Join(dir, "memo")); err != nil || len(cells) != 4 {
+		t.Fatalf("memo/ holds %d entries (%v), want the 4 cells left as they were", len(cells), err)
 	}
 }

@@ -29,10 +29,8 @@ package jobs
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -58,9 +56,10 @@ const (
 	HeaderToken = "X-Aft-Lease-Token"
 )
 
-// maxCheckpointBody bounds an uploaded snapshot. Campaign snapshots are
-// tens of kilobytes; 64 MiB leaves room for growth without letting a
-// confused client exhaust memory.
+// maxCheckpointBody bounds an uploaded snapshot and a completion body.
+// A Fig. 7 campaign snapshot is about 0.7 kB plus 32 bytes per Fig. 6
+// sample, so 64 MiB holds about two million samples without letting a
+// confused client exhaust memory; a larger body is refused with a 413.
 const maxCheckpointBody = 64 << 20
 
 // LeaseRequest is the body of POST /v1/lease.
@@ -213,8 +212,7 @@ func (s *Server) shardEnd(j *job, rounds int64) int64 {
 // shutting down — both retryable.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBody)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad lease request: " + err.Error()})
+	if !decodeBody(w, r, maxBody, "bad lease request", &req) {
 		return
 	}
 	if req.Worker == "" {
@@ -332,8 +330,7 @@ func (s *Server) take(ctx context.Context, holder string, wait bool) (*job, *Wor
 // flag so the heartbeat is also the cancellation channel.
 func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 	var req RenewRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBody)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad renew request: " + err.Error()})
+	if !decodeBody(w, r, maxBody, "bad renew request", &req) {
 		return
 	}
 	reply, err := s.Renew(r.Context(), Grant{Job: r.PathValue("id"), Worker: req.Worker, Token: req.Token})
@@ -387,9 +384,8 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			errorReply{Error: fmt.Sprintf("checkpoint upload needs %s and numeric %s headers", HeaderWorker, HeaderToken)})
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxCheckpointBody))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "read body: " + err.Error()})
+	body, ok := readBody(w, r, maxCheckpointBody)
+	if !ok {
 		return
 	}
 	reply, err := s.Upload(r.Context(), Grant{Job: r.PathValue("id"), Worker: worker, Token: token}, body)
@@ -517,8 +513,7 @@ func (s *Server) releaseLease(id, worker string, token uint64) {
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req CompleteRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxCheckpointBody)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad complete request: " + err.Error()})
+	if !decodeBody(w, r, maxCheckpointBody, "bad complete request", &req) {
 		return
 	}
 	if req.Result == nil {

@@ -81,10 +81,6 @@ type Holder struct {
 	Name string
 	// Coordinator is the protocol endpoint.
 	Coordinator Coordinator
-	// Cache memoizes sweep cells across jobs; nil computes every cell.
-	// The rows are identical either way, because cells are keyed on
-	// their complete inputs.
-	Cache *experiments.SweepCache
 	// MaxJobs stops Run after that many grants (shard handbacks count);
 	// 0 means until Lease fails.
 	MaxJobs int
@@ -127,7 +123,7 @@ func (h *Holder) runGrant(ctx context.Context, g Grant) {
 	case KindCampaign:
 		h.runCampaign(ctx, g, hb)
 	case KindSweep:
-		h.complete(ctx, g, ExecuteSweep(g.Job, g.Spec.Sweep, h.Cache))
+		h.complete(ctx, g, ExecuteSweep(g.Job, g.Spec.Sweep))
 	case KindScenario:
 		h.complete(ctx, g, ExecuteScenario(g.Job, g.Spec.Scenario))
 	default:

@@ -7,6 +7,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,6 +23,48 @@ import (
 // maxBody bounds a submission body; campaign and scenario specs are a
 // few hundred bytes, so 1 MiB is generous.
 const maxBody = 1 << 20
+
+// readBody reads r's whole body, refusing rather than truncating one
+// over limit bytes: it answers 413 with the bodyTooLarge text (400 for
+// any other read error) and reports false. A declared Content-Length
+// over the cap is refused before anything is read.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	if r.ContentLength > limit {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorReply{Error: bodyTooLarge(limit)})
+		return nil, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return body, true
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorReply{Error: bodyTooLarge(limit)})
+	default:
+		writeJSON(w, http.StatusBadRequest, errorReply{Error: "read body: " + err.Error()})
+	}
+	return nil, false
+}
+
+// bodyTooLarge is the pinned text of a 413 reply.
+func bodyTooLarge(limit int64) string {
+	return fmt.Sprintf("request body exceeds the %d-byte cap", limit)
+}
+
+// decodeBody reads r's body with readBody and decodes it as one JSON
+// value into v, answering 400 with what and the decode error when it
+// is malformed. It reports whether v was filled.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	body, ok := readBody(w, r, limit)
+	if !ok {
+		return false
+	}
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorReply{Error: what + ": " + err.Error()})
+		return false
+	}
+	return true
+}
 
 // errorReply is the body of every non-2xx response.
 type errorReply struct {
@@ -127,8 +170,12 @@ func respond(w http.ResponseWriter, v any, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r, maxBody)
+	if !ok {
+		return
+	}
 	var spec Spec
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBody))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad job spec: " + err.Error()})

@@ -18,10 +18,7 @@
 //
 // Jobs are content-addressed: a job's ID is the SHA-256 of its
 // canonical spec JSON (prefixed with a schema version), so resubmitting
-// an identical spec returns the existing job instead of recomputing —
-// the memo-key discipline of experiments.SweepCache applied at job
-// granularity. Sweep jobs additionally thread the store's shared
-// SweepCache, so even distinct sweep jobs share per-cell results.
+// an identical spec returns the existing job instead of recomputing.
 //
 // The job lifecycle (queued → running → checkpointed → done / failed /
 // cancelled), the on-disk store layout, and the crash-recovery
@@ -89,7 +86,7 @@ func (s State) Terminal() bool {
 // specVersion keys job IDs: bump whenever a change alters what an
 // identical spec computes (an engine fix that changes transcripts, a
 // new result column), so stale results can never be deduplicated across
-// a behaviour change. It mirrors the SweepCache schema-version rule.
+// a behaviour change.
 const specVersion = 1
 
 // SweepSpec selects one ablation grid. The zero values of the optional
@@ -129,6 +126,13 @@ type ScenarioSpec struct {
 // maxClientLen bounds the Client field: client IDs key scheduler rings
 // and rate-limit buckets, so an unbounded one is an unbounded map.
 const maxClientLen = 128
+
+// maxOrganSize bounds a campaign's Policy.Max. A holder sizes the
+// campaign's occupancy histogram at Max+1 counters and votes over up to
+// Max replicas a round, so an unbounded Max lets one submission exhaust
+// the holder's memory. The paper's organs hold 3 to 9 replicas;
+// OPERATIONS.md records what a campaign at the cap costs.
+const maxOrganSize = 255
 
 // Spec is a complete job submission: a kind plus exactly the matching
 // payload field, optionally tagged with the submitter's client ID and a
@@ -186,6 +190,9 @@ func (s Spec) Validate() error {
 		}
 		if cfg.SampleEvery < 0 {
 			return fmt.Errorf("jobs: campaign SampleEvery %d must be non-negative", cfg.SampleEvery)
+		}
+		if cfg.Policy.Max > maxOrganSize {
+			return fmt.Errorf("jobs: campaign Policy.Max %d exceeds the organ-size cap %d", cfg.Policy.Max, maxOrganSize)
 		}
 		if err := cfg.Policy.Validate(); err != nil {
 			return err

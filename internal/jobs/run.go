@@ -62,12 +62,10 @@ func renderCampaign(cfg experiments.AdaptiveRunConfig, res experiments.AdaptiveR
 	return out + experiments.RenderFig7(res, cfg.Policy.Min)
 }
 
-// ExecuteSweep runs one ablation grid to a terminal Result. The cache
-// is optional: the coordinator passes its store-backed SweepCache so
-// distinct sweep jobs share cells, a stateless worker passes a scratch
-// cache (or nil) — the rows are identical either way, because the memo
-// layer is keyed on the complete cell inputs.
-func ExecuteSweep(id string, sw *SweepSpec, cache *experiments.SweepCache) *Result {
+// ExecuteSweep runs one ablation grid to a terminal Result on the
+// calling goroutine; a server's parallelism is its holders, one job
+// each.
+func ExecuteSweep(id string, sw *SweepSpec) *Result {
 	var (
 		transcript string
 		summary    any
@@ -77,7 +75,7 @@ func ExecuteSweep(id string, sw *SweepSpec, cache *experiments.SweepCache) *Resu
 	switch sw.Grid {
 	case "e8":
 		var rows []experiments.E8Row
-		rows, err = experiments.RunE8ParallelCached(sw.Steps, sweepSeed(sw.Seed), 1, cache)
+		rows, err = experiments.RunE8(sw.Steps, sweepSeed(sw.Seed), 1)
 		if err == nil {
 			transcript, summary, cells = experiments.RenderE8(rows), rows, len(rows)
 		}
@@ -87,13 +85,13 @@ func ExecuteSweep(id string, sw *SweepSpec, cache *experiments.SweepCache) *Resu
 			cfg = *sw.E9
 		}
 		var rows []experiments.E9Row
-		rows, err = experiments.RunE9ParallelCached(cfg, 1, cache)
+		rows, err = experiments.RunE9(cfg, 1)
 		if err == nil {
 			transcript, summary, cells = experiments.RenderE9(rows), rows, len(rows)
 		}
 	case "e10":
 		var rows []experiments.E10Row
-		rows, err = experiments.RunE10ParallelCached(sw.Steps, sweepSeed(sw.Seed), sw.LowerAfters, 1, cache)
+		rows, err = experiments.RunE10(sw.Steps, sweepSeed(sw.Seed), sw.LowerAfters, 1)
 		if err == nil {
 			transcript, summary, cells = experiments.RenderE10(rows), rows, len(rows)
 		}

@@ -164,7 +164,6 @@ type Status struct {
 type Server struct {
 	opts  Options
 	store *store
-	cache *experiments.SweepCache
 	mux   *http.ServeMux
 	reg   *metrics.Registry
 
@@ -238,10 +237,6 @@ func NewServer(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache, err := experiments.OpenSweepCache(st.memoDir())
-	if err != nil {
-		return nil, err
-	}
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = defaultCheckpointEvery
 	}
@@ -259,7 +254,6 @@ func NewServer(opts Options) (*Server, error) {
 	s := &Server{
 		opts:         opts,
 		store:        st,
-		cache:        cache,
 		reg:          &metrics.Registry{},
 		jobs:         make(map[string]*job),
 		queue:        sched.New(mode),
@@ -289,7 +283,7 @@ func NewServer(opts Options) (*Server, error) {
 	s.halted, s.halt = hctx.Done(), halt
 	if !opts.DisableLocalPool {
 		for i := 0; i < opts.Workers; i++ {
-			h := &Holder{Name: fmt.Sprintf("local-%d", i), Coordinator: s, Cache: s.cache}
+			h := &Holder{Name: fmt.Sprintf("local-%d", i), Coordinator: s}
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
@@ -464,8 +458,6 @@ func (s *Server) registerMetrics() {
 		defer s.mu.Unlock()
 		return int64(s.queue.Len())
 	})
-	s.reg.Register("aft_memo_hits_total", func() int64 { h, _ := s.cache.Stats(); return h })
-	s.reg.Register("aft_memo_misses_total", func() int64 { _, m := s.cache.Stats(); return m })
 
 	s.reg.RegisterCounter("aft_rate_limited_total", &s.rateLimited)
 	s.reg.RegisterCounter("aft_queue_rejected_total", &s.queueRejected)

@@ -303,7 +303,9 @@ func TestCancelQueuedJobIsImmediateAndDurable(t *testing.T) {
 	}
 }
 
-func TestSweepJobsShareMemoCells(t *testing.T) {
+// TestDistinctSweepJobsBothFinish submits two e9 grids that share a
+// cell: each is its own job, and each finishes done with its own rows.
+func TestDistinctSweepJobsBothFinish(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
 	wide := E9Sweep([]float64{0.5, 0.7})
 	narrow := E9Sweep([]float64{0.5})
@@ -323,9 +325,6 @@ func TestSweepJobsShareMemoCells(t *testing.T) {
 		t.Fatalf("sweep transcript missing rows:\n%s", res.Transcript)
 	}
 
-	// The narrower grid is a distinct job, but its single cell was
-	// already computed by the first job — the shared memo cache serves
-	// it.
 	st2, _, err := s.Submit(narrow)
 	if err != nil {
 		t.Fatal(err)
@@ -333,11 +332,12 @@ func TestSweepJobsShareMemoCells(t *testing.T) {
 	if st2.ID == st.ID {
 		t.Fatal("distinct sweeps deduplicated onto one job")
 	}
-	if _, err := s.Wait(waitCtx(t), st2.ID); err != nil {
+	res2, err := s.Wait(waitCtx(t), st2.ID)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := s.cache.Stats(); hits < 1 {
-		t.Fatalf("memo hits %d, want >= 1", hits)
+	if res2.State != StateDone || res2.Rounds != 1 || !strings.Contains(res2.Transcript, "K=0.50") {
+		t.Fatalf("narrow sweep: %+v", res2)
 	}
 }
 

@@ -6,7 +6,6 @@
 //	jobs/<id>/spec.json          the submission (plus its sequence number)
 //	jobs/<id>/checkpoint.aftckpt the campaign's latest snapshot (campaigns only)
 //	jobs/<id>/result.json        the terminal record (done/failed/cancelled)
-//	memo/                        the shared experiments.SweepCache
 //
 // The files double as the state machine: spec without result is an
 // in-flight job (checkpointed if the snapshot file decodes, queued
@@ -49,14 +48,8 @@ func openStore(dir string) (*store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "memo"), 0o755); err != nil {
-		return nil, err
-	}
 	return &store{dir: dir}, nil
 }
-
-// memoDir is the shared sweep-cell cache directory.
-func (st *store) memoDir() string { return filepath.Join(st.dir, "memo") }
 
 // jobDir is the directory of one job.
 func (st *store) jobDir(id string) string { return filepath.Join(st.dir, "jobs", id) }

@@ -494,7 +494,7 @@ func TestWorkerRunsSweepAndScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := jobs.ExecuteSweep(swSt.ID, swSpec.Sweep, nil); swRes.Transcript != want.Transcript ||
+	if want := jobs.ExecuteSweep(swSt.ID, swSpec.Sweep); swRes.Transcript != want.Transcript ||
 		swRes.State != want.State {
 		t.Fatal("remote sweep result differs from local execution")
 	}

@@ -92,8 +92,8 @@ var transcriptPackages = []string{
 }
 
 // persistencePackages are the packages that write durable state: job
-// stores, checkpoints, memo caches, bench snapshots, and the binaries
-// that drive them.
+// stores, checkpoints, campaign snapshots, bench snapshots, and the
+// binaries that drive them.
 var persistencePackages = []string{
 	"internal/checkpoint",
 	"internal/experiments",
