@@ -1,6 +1,7 @@
 // Command aft-bench regenerates every figure of the paper plus the
-// derived ablations, printing the rows/series the paper reports. It is
-// the reference harness behind EXPERIMENTS.md.
+// derived ablations, printing the rows/series the paper reports. The
+// output of -fig all -steps 65000000 is committed as
+// testdata/figures.golden and pinned byte for byte by TestFiguresGolden.
 //
 // Usage:
 //

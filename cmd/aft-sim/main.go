@@ -8,29 +8,22 @@
 // summaries plus the aggregate; replica i's result depends only on
 // (seed, i), never on the worker count.
 //
-// Single runs execute on the fused zero-allocation campaign engine by
-// default; -engine reference selects the pre-engine loop for
-// differential runs. The header line names the engine; everything below
-// it (the Fig. 6/7 transcripts) is byte-identical across engines, so
-// compare with `diff <(aft-sim ... | tail -n +2) <(aft-sim -engine
-// reference ... | tail -n +2)`.
+// Single runs execute on the batch kernel (experiments.RunAdaptive) by
+// default; -engine reference selects the pre-engine loop
+// (experiments.RunAdaptiveReference) for differential runs. The header
+// line names the engine; everything below it (the Fig. 6/7 transcripts)
+// is byte-identical across engines, so compare with `diff <(aft-sim ...
+// | tail -n +2) <(aft-sim -engine reference ... | tail -n +2)`.
 //
-// Single runs are checkpointable. -checkpoint FILE writes a snapshot of
-// the campaign state (engine buffers, switchboard, PRNG streams — see
-// internal/checkpoint) when the run completes; -shards N additionally
-// splits the campaign into N sequential shards and rewrites the
-// snapshot after each, so a kill between shards loses at most one
-// shard's work; -resume FILE continues a snapshotted campaign to its
-// configured length, rendering transcripts byte-identical to an
-// uninterrupted run. -halt-after K stops after K shards (simulating the
-// preemption a later -resume recovers from). Snapshots restore on
-// either engine, whatever engine wrote them.
+// A run keeps no checkpoint: the paper's full 65 M rounds take well
+// under a second on the kernel, so a killed run is rerun from its
+// flags. Campaigns that must survive a kill are submitted to aft-serve,
+// whose job store checkpoints them.
 //
 // Usage:
 //
 //	aft-sim [-steps N] [-seed S] [-sample K] [-storm-every N] [-max-level L]
-//	        [-replicas R] [-parallel W] [-engine fused|reference]
-//	        [-checkpoint FILE] [-resume FILE] [-shards N] [-halt-after K]
+//	        [-replicas R] [-parallel W] [-engine batch|reference]
 package main
 
 import (
@@ -40,7 +33,6 @@ import (
 	"log"
 	"os"
 
-	"aft/internal/checkpoint"
 	"aft/internal/cli"
 	"aft/internal/experiments"
 	"aft/internal/redundancy"
@@ -53,18 +45,6 @@ func main() {
 	}
 }
 
-// campaignRunner is the engine-agnostic shape of a steppable campaign;
-// both experiments.Campaign and experiments.ReferenceCampaign satisfy
-// it.
-type campaignRunner interface {
-	Run(n int64)
-	Rounds() int64
-	Remaining() int64
-	Config() experiments.AdaptiveRunConfig
-	Result() experiments.AdaptiveRunResult
-	Snapshot() (*checkpoint.Snapshot, error)
-}
-
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("aft-sim", flag.ContinueOnError)
 	steps := fs.Int64("steps", 1_000_000, "number of voting rounds")
@@ -74,90 +54,41 @@ func run(args []string, stdout io.Writer) error {
 	maxLevel := fs.Int("max-level", 4, "maximum storm intensity level")
 	replicas := fs.Int("replicas", 1, "independent replicas of the campaign")
 	parallel := fs.Int("parallel", 0, "worker pool for replicas (0 = one per CPU)")
-	engine := fs.String("engine", "fused", "campaign engine for single runs: fused (zero-alloc) or reference (pre-engine loop)")
-	ckpt := fs.String("checkpoint", "", "write a campaign snapshot to FILE (after every shard with -shards)")
-	resume := fs.String("resume", "", "resume the campaign snapshotted in FILE")
-	shards := fs.Int("shards", 1, "split the campaign into N sequential checkpointed shards")
-	haltAfter := fs.Int("halt-after", 0, "stop after completing K shards this invocation (0 = run to the end)")
+	engine := fs.String("engine", "batch", "campaign engine for single runs: batch (the kernel) or reference (pre-engine loop)")
 	if done, err := cli.Parse(fs, args, stdout); done {
 		return err
 	}
 
-	if *engine != "fused" && *engine != "reference" {
-		return fmt.Errorf("unknown engine %q (want fused or reference)", *engine)
+	runAdaptive := experiments.RunAdaptive
+	switch *engine {
+	case "batch":
+	case "reference":
+		runAdaptive = experiments.RunAdaptiveReference
+	default:
+		return fmt.Errorf("unknown engine %q (want batch or reference)", *engine)
 	}
 
+	cfg := stormConfig(*steps, *seed, *sample, *stormEvery, *maxLevel)
 	if *replicas > 1 {
-		// The sweep rides the fused engine; refuse the conflicting flags
-		// rather than silently ignoring them (transcripts are
+		// The sweep rides the batch engine; refuse the conflicting flag
+		// rather than silently ignoring it (transcripts are
 		// engine-independent, but a differential run should say so).
-		if *engine != "fused" {
-			return fmt.Errorf("-engine %s applies to single runs only; the -replicas sweep always uses the fused engine", *engine)
+		if *engine != "batch" {
+			return fmt.Errorf("-engine %s applies to single runs only; the -replicas sweep always uses the batch engine", *engine)
 		}
-		if *ckpt != "" || *resume != "" || *shards != 1 {
-			return fmt.Errorf("-checkpoint/-resume/-shards apply to single runs only")
-		}
-		cfg := stormConfig(*steps, *seed, *sample, *stormEvery, *maxLevel)
 		return runReplicas(cfg, *replicas, *parallel, stdout)
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards %d must be at least 1", *shards)
-	}
-	if *haltAfter < 0 {
-		return fmt.Errorf("-halt-after %d must be non-negative", *haltAfter)
-	}
-	if *haltAfter > 0 && *ckpt == "" {
-		return fmt.Errorf("-halt-after needs -checkpoint, or the halted work is lost")
-	}
 
-	var c campaignRunner
-	var err error
-	if *resume != "" {
-		// The campaign configuration rides the snapshot; flags that would
-		// contradict it are rejected rather than silently ignored.
-		var conflict error
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "steps", "seed", "sample", "storm-every", "max-level":
-				conflict = fmt.Errorf("-%s conflicts with -resume: the snapshot carries the campaign configuration", f.Name)
-			}
-		})
-		if conflict != nil {
-			return conflict
-		}
-		c, err = restoreCampaign(*resume, *engine)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "resuming %d/%d rounds from %s (seed %d, %s engine)\n",
-			c.Rounds(), c.Config().Steps, *resume, c.Config().Seed, *engine)
-	} else {
-		cfg := stormConfig(*steps, *seed, *sample, *stormEvery, *maxLevel)
-		if *engine == "fused" {
-			c, err = experiments.NewCampaign(cfg)
-		} else {
-			c, err = experiments.NewReferenceCampaign(cfg)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "running %d rounds (seed %d, storms every %d rounds, max level %d, %s engine)\n",
-			cfg.Steps, cfg.Seed, cfg.Storms.StormEvery, cfg.Storms.MaxLevel, *engine)
-	}
-
-	if err := runSharded(c, *shards, *ckpt, *haltAfter, stdout); err != nil {
+	fmt.Fprintf(stdout, "running %d rounds (seed %d, storms every %d rounds, max level %d, %s engine)\n",
+		cfg.Steps, cfg.Seed, cfg.Storms.StormEvery, cfg.Storms.MaxLevel, *engine)
+	res, err := runAdaptive(cfg)
+	if err != nil {
 		return err
 	}
-	if c.Remaining() > 0 {
-		fmt.Fprintf(stdout, "halted at round %d of %d; continue with -resume %s\n",
-			c.Rounds(), c.Config().Steps, *ckpt)
-		return nil
-	}
-	res := c.Result()
 	if res.Redundancy != nil {
 		fmt.Fprint(stdout, experiments.RenderFig6(res))
 	}
-	fmt.Fprint(stdout, experiments.RenderFig7(res, c.Config().Policy.Min))
+	fmt.Fprint(stdout, experiments.RenderFig7(res, cfg.Policy.Min))
 	return nil
 }
 
@@ -171,57 +102,6 @@ func stormConfig(steps int64, seed uint64, sample, stormEvery int64, maxLevel in
 	}
 	cfg.Storms.MaxLevel = maxLevel
 	return cfg
-}
-
-// restoreCampaign loads a snapshot file onto the selected engine.
-func restoreCampaign(path, engine string) (campaignRunner, error) {
-	snap, err := checkpoint.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if engine == "fused" {
-		return experiments.RestoreCampaign(snap)
-	}
-	return experiments.RestoreReferenceCampaign(snap)
-}
-
-// runSharded drives the campaign shard by shard, rewriting the
-// checkpoint file after each completed shard. With shards == 1 and no
-// halt it degenerates to a single run (plus a final snapshot when
-// -checkpoint is set). Shards already covered by a resumed snapshot are
-// skipped.
-func runSharded(c campaignRunner, shards int, ckpt string, haltAfter int, stdout io.Writer) error {
-	plan, err := experiments.SplitCampaign(c.Config(), shards)
-	if err != nil {
-		return err
-	}
-	done := 0
-	for _, sh := range plan {
-		if sh.End <= c.Rounds() {
-			continue // completed before the resume point
-		}
-		c.Run(sh.End - c.Rounds())
-		if ckpt != "" {
-			snap, err := c.Snapshot()
-			if err != nil {
-				return err
-			}
-			if err := snap.WriteFile(ckpt); err != nil {
-				return err
-			}
-		}
-		if shards > 1 {
-			suffix := ""
-			if ckpt != "" {
-				suffix = fmt.Sprintf(" (checkpoint %s)", ckpt)
-			}
-			fmt.Fprintf(stdout, "shard %d/%d complete at round %d%s\n", sh.Index+1, sh.Count, c.Rounds(), suffix)
-		}
-		if done++; haltAfter > 0 && done >= haltAfter && c.Remaining() > 0 {
-			return nil
-		}
-	}
-	return nil
 }
 
 // runReplicas fans the campaign out over derived seeds and aggregates.

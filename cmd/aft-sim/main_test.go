@@ -11,7 +11,7 @@ func TestRunSmallCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, needle := range []string{"running 20000 rounds", "fused engine", "Fig. 7", "time at minimal redundancy"} {
+	for _, needle := range []string{"running 20000 rounds", "batch engine", "Fig. 7", "time at minimal redundancy"} {
 		if !strings.Contains(got, needle) {
 			t.Errorf("output lacks %q", needle)
 		}
@@ -30,8 +30,8 @@ func TestRunEnginesAgreeBelowHeader(t *testing.T) {
 		}
 		return rest
 	}
-	if render("fused") != render("reference") {
-		t.Fatal("fused and reference transcripts diverge below the header")
+	if render("batch") != render("reference") {
+		t.Fatal("batch and reference transcripts diverge below the header")
 	}
 }
 

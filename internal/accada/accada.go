@@ -355,51 +355,3 @@ func (e *AdaptiveExecutor) invokeReconfiguring() ftpatterns.Result {
 func (e *AdaptiveExecutor) Stats() (invocations, attempts, activations, swaps, failures int64) {
 	return e.invocations, e.attempts, e.activations, e.swaps, e.failures
 }
-
-// ExecutorState is the serializable state of an AdaptiveExecutor, for
-// checkpointing (see internal/checkpoint). The versions themselves and
-// the OnSwap callback are reconstructed by the caller; the state carries
-// the active version index, the oracle, and the counters.
-type ExecutorState struct {
-	// Current is the index of the active version.
-	Current int
-	// Filter is the alpha-count oracle's state.
-	Filter alphacount.FilterState
-	// Invocations, Attempts, Activations, Swaps, and Failures are the
-	// cumulative counters Stats reports.
-	Invocations, Attempts, Activations, Swaps, Failures int64
-}
-
-// ExportState captures the executor's state for a checkpoint.
-func (e *AdaptiveExecutor) ExportState() ExecutorState {
-	return ExecutorState{
-		Current:     e.current,
-		Filter:      e.filter.ExportState(),
-		Invocations: e.invocations,
-		Attempts:    e.attempts,
-		Activations: e.activations,
-		Swaps:       e.swaps,
-		Failures:    e.failures,
-	}
-}
-
-// RestoreState rewinds the executor to a previously exported state. The
-// active version index must address one of this executor's versions.
-func (e *AdaptiveExecutor) RestoreState(st ExecutorState) error {
-	if st.Current < 0 || st.Current >= len(e.versions) {
-		return fmt.Errorf("accada: restored version index %d outside [0,%d)", st.Current, len(e.versions))
-	}
-	if st.Invocations < 0 || st.Attempts < 0 || st.Activations < 0 || st.Swaps < 0 || st.Failures < 0 {
-		return fmt.Errorf("accada: negative restored executor counters")
-	}
-	if err := e.filter.RestoreState(st.Filter); err != nil {
-		return err
-	}
-	e.current = st.Current
-	e.invocations = st.Invocations
-	e.attempts = st.Attempts
-	e.activations = st.Activations
-	e.swaps = st.Swaps
-	e.failures = st.Failures
-	return nil
-}

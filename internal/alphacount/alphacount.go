@@ -167,50 +167,6 @@ func (f *Filter) update() {
 	}
 }
 
-// FilterState is the serializable state of a Filter, for checkpointing
-// (see internal/checkpoint). The configuration is not part of the
-// state; it is supplied by whoever reconstructs the filter.
-type FilterState struct {
-	// Alpha is the current score.
-	Alpha float64
-	// Verdict is the current discrimination.
-	Verdict Verdict
-	// Judgments, Faults, and Flips are the cumulative counters Stats
-	// reports.
-	Judgments, Faults, Flips int64
-}
-
-// ExportState captures the filter's state for a checkpoint.
-func (f *Filter) ExportState() FilterState {
-	return FilterState{
-		Alpha:     f.alpha,
-		Verdict:   f.verdict,
-		Judgments: f.judgments,
-		Faults:    f.faults,
-		Flips:     f.flips,
-	}
-}
-
-// RestoreState rewinds the filter to a previously exported state,
-// rejecting values no judgment sequence can produce.
-func (f *Filter) RestoreState(st FilterState) error {
-	if st.Alpha < 0 {
-		return fmt.Errorf("alphacount: negative restored score %v", st.Alpha)
-	}
-	if st.Verdict != TransientVerdict && st.Verdict != PermanentVerdict {
-		return fmt.Errorf("alphacount: invalid restored verdict %d", int(st.Verdict))
-	}
-	if st.Judgments < 0 || st.Faults < 0 || st.Flips < 0 || st.Faults > st.Judgments {
-		return fmt.Errorf("alphacount: inconsistent restored counters %+v", st)
-	}
-	f.alpha = st.Alpha
-	f.verdict = st.Verdict
-	f.judgments = st.Judgments
-	f.faults = st.Faults
-	f.flips = st.Flips
-	return nil
-}
-
 // Reset clears the score and verdict, e.g. after the faulty component
 // was replaced.
 func (f *Filter) Reset() {

@@ -21,7 +21,7 @@ func ExampleCampaign_Snapshot() {
 	c, _ := experiments.NewCampaign(cfg)
 	c.Run(25_000)
 	snap, _ := c.Snapshot()
-	blob := snap.Encode() // what -checkpoint writes to disk
+	blob := snap.Encode() // what a checkpoint upload carries
 
 	// Later, in a new process: decode, restore, finish the campaign.
 	decoded, _ := checkpoint.Decode(blob)
@@ -34,8 +34,8 @@ func ExampleCampaign_Snapshot() {
 	// Output: transcripts identical: true
 }
 
-// ExampleRestoreCampaign shows the shard workflow cmd/aft-sim's
-// -shards flag drives: a campaign split into sequential shards whose
+// ExampleRestoreCampaign shows the shard workflow the job fleet drives
+// (internal/jobs): a campaign split into sequential shards whose
 // snapshots chain, surviving a kill between any two of them.
 func ExampleRestoreCampaign() {
 	cfg := experiments.DefaultFig7Config(30_000)

@@ -1,8 +1,9 @@
 // Package experiments contains the harnesses that regenerate the
 // paper's figures and the ablation studies derived from its claims. Each
 // experiment is a pure function of its configuration (including the
-// random seed), so every run is reproducible; EXPERIMENTS.md records the
-// paper-versus-measured comparison for each.
+// random seed), so every run is reproducible. Every figure's output, with
+// Fig. 7 at the paper's full 65 M rounds, is committed as the golden
+// cmd/aft-bench/testdata/figures.golden.
 package experiments
 
 import (

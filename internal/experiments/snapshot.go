@@ -13,8 +13,8 @@
 // differential tests extend to resume.
 //
 // SplitCampaign cuts a long campaign into sequential shards whose
-// snapshots chain, so cmd/aft-sim can run the Fig. 7 campaign as N
-// preemptible pieces with a durable checkpoint between each.
+// snapshots chain, so the job fleet (internal/jobs) can run a campaign
+// as leased, preemptible pieces with a durable checkpoint between each.
 //
 // The payload schema (sections, field order, integrity rules) is
 // documented in DESIGN.md under "Checkpointable campaigns"; bump
@@ -24,13 +24,13 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
 	"aft/internal/checkpoint"
 	"aft/internal/metrics"
 	"aft/internal/redundancy"
-	"aft/internal/voting"
 )
 
 // CampaignSnapshotKind identifies campaign snapshots inside a
@@ -350,42 +350,29 @@ func (rc *ReferenceCampaign) Snapshot() (*checkpoint.Snapshot, error) {
 	return snapshotCampaign(st)
 }
 
-// RestoreCampaign rebuilds a fused campaign from a snapshot of a
-// storm-driven run (NewCampaign). Snapshots of source-driven campaigns
-// need RestoreCampaignWithSource, because the external source is not
-// part of the snapshot.
-func RestoreCampaign(snap *checkpoint.Snapshot) (*Campaign, error) {
+// errSourceSnapshot refuses a snapshot of a source-driven campaign
+// (NewCampaignWithSource): the external source is not part of the
+// snapshot, so such a run is replayed from its spec instead.
+var errSourceSnapshot = errors.New("experiments: snapshot was taken with an external corruption source; only storm-driven campaigns restore")
+
+// decodeStormCampaign decodes a snapshot of a storm-driven campaign.
+func decodeStormCampaign(snap *checkpoint.Snapshot) (campaignState, error) {
 	st, err := decodeCampaign(snap)
-	if err != nil {
-		return nil, err
+	if err == nil && !st.hasStorms {
+		err = errSourceSnapshot
 	}
-	if !st.hasStorms {
-		return nil, fmt.Errorf("experiments: snapshot was taken with an external corruption source; use RestoreCampaignWithSource")
-	}
-	c, err := NewCampaign(st.cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.restore(st); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return st, err
 }
 
-// RestoreCampaignWithSource rebuilds a fused campaign from a snapshot
-// of a source-driven run (NewCampaignWithSource). The caller supplies
-// the source, which must be the deterministic continuation of the one
-// the snapshotted campaign was using: it will next be queried at round
-// Rounds().
-func RestoreCampaignWithSource(snap *checkpoint.Snapshot, src CorruptionSource) (*Campaign, error) {
-	st, err := decodeCampaign(snap)
+// RestoreCampaign rebuilds a fused campaign from a snapshot of a
+// storm-driven run (NewCampaign). Snapshots of source-driven campaigns
+// are refused.
+func RestoreCampaign(snap *checkpoint.Snapshot) (*Campaign, error) {
+	st, err := decodeStormCampaign(snap)
 	if err != nil {
 		return nil, err
 	}
-	if st.hasStorms {
-		return nil, fmt.Errorf("experiments: snapshot was taken with the storm environment; use RestoreCampaign")
-	}
-	c, err := NewCampaignWithSource(st.cfg, src)
+	c, err := NewCampaign(st.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -401,10 +388,8 @@ func (c *Campaign) restore(st campaignState) error {
 	if err := c.sb.RestoreState(st.sb); err != nil {
 		return err
 	}
-	if st.hasStorms {
-		if err := c.env.(*storms).restoreState(st.storms); err != nil {
-			return err
-		}
+	if err := c.env.(*storms).restoreState(st.storms); err != nil {
+		return err
 	}
 	if err := c.crng.SetState(st.crng); err != nil {
 		return err
@@ -430,35 +415,11 @@ func (c *Campaign) restore(st campaignState) error {
 // snapshot of a storm-driven run. Snapshots taken on the fused engine
 // restore here just as well — the state schema is engine-agnostic.
 func RestoreReferenceCampaign(snap *checkpoint.Snapshot) (*ReferenceCampaign, error) {
-	st, err := decodeCampaign(snap)
+	st, err := decodeStormCampaign(snap)
 	if err != nil {
 		return nil, err
-	}
-	if !st.hasStorms {
-		return nil, fmt.Errorf("experiments: snapshot was taken with an external corruption source; use RestoreReferenceCampaignWithSource")
 	}
 	rc, err := NewReferenceCampaign(st.cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := rc.restore(st); err != nil {
-		return nil, err
-	}
-	return rc, nil
-}
-
-// RestoreReferenceCampaignWithSource rebuilds a reference campaign from
-// a snapshot of a source-driven run, with the caller supplying the
-// source continuation.
-func RestoreReferenceCampaignWithSource(snap *checkpoint.Snapshot, src CorruptionSource) (*ReferenceCampaign, error) {
-	st, err := decodeCampaign(snap)
-	if err != nil {
-		return nil, err
-	}
-	if st.hasStorms {
-		return nil, fmt.Errorf("experiments: snapshot was taken with the storm environment; use RestoreReferenceCampaign")
-	}
-	rc, err := NewReferenceCampaignWithSource(st.cfg, src)
 	if err != nil {
 		return nil, err
 	}
@@ -474,10 +435,8 @@ func (rc *ReferenceCampaign) restore(st campaignState) error {
 	if err := rc.sb.RestoreState(st.sb); err != nil {
 		return err
 	}
-	if st.hasStorms {
-		if err := rc.env.(*storms).restoreState(st.storms); err != nil {
-			return err
-		}
+	if err := rc.env.(*storms).restoreState(st.storms); err != nil {
+		return err
 	}
 	if err := rc.crng.SetState(st.crng); err != nil {
 		return err
@@ -541,7 +500,7 @@ func SplitCampaign(cfg AdaptiveRunConfig, n int) ([]Shard, error) {
 }
 
 // ShardForRound returns the shard containing the given round of the
-// chain, used by resume logic to find where a restored campaign left
+// chain, used by the job fleet to find where a restored campaign left
 // off.
 func ShardForRound(shards []Shard, round int64) (Shard, error) {
 	for _, s := range shards {
@@ -551,24 +510,3 @@ func ShardForRound(shards []Shard, round int64) (Shard, error) {
 	}
 	return Shard{}, fmt.Errorf("experiments: round %d outside every shard", round)
 }
-
-// Interface guards: both engines satisfy the steppable-campaign shape
-// cmd/aft-sim drives.
-var (
-	_ interface {
-		Step() voting.Outcome
-		Run(int64)
-		Rounds() int64
-		Remaining() int64
-		Result() AdaptiveRunResult
-		Snapshot() (*checkpoint.Snapshot, error)
-	} = (*Campaign)(nil)
-	_ interface {
-		Step() voting.Outcome
-		Run(int64)
-		Rounds() int64
-		Remaining() int64
-		Result() AdaptiveRunResult
-		Snapshot() (*checkpoint.Snapshot, error)
-	} = (*ReferenceCampaign)(nil)
-)

@@ -141,21 +141,13 @@ func TestSnapshotResumeFig6Series(t *testing.T) {
 	}
 }
 
-// TestSnapshotResumeSourceCampaign covers the source-driven construct
-// the chaos harness uses: the source continuation is supplied by the
-// caller at restore time.
+// TestSnapshotResumeSourceCampaign pins the refusal of a source-driven
+// snapshot: the external source is not part of the snapshot, so both
+// restore entry points refuse it with one pinned text, and the run is
+// replayed from its spec instead.
 func TestSnapshotResumeSourceCampaign(t *testing.T) {
 	cfg := AdaptiveRunConfig{Steps: 20_000, Seed: 1906, Policy: DefaultFig7Config(0).Policy}
-	src := func() CorruptionSource { return scriptedSource{} }
-
-	straight, err := NewCampaignWithSource(cfg, src())
-	if err != nil {
-		t.Fatal(err)
-	}
-	straight.Run(cfg.Steps)
-	want := RenderFig7(straight.Result(), cfg.Policy.Min)
-
-	c, err := NewCampaignWithSource(cfg, src())
+	c, err := NewCampaignWithSource(cfg, scriptedSource{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,27 +156,16 @@ func TestSnapshotResumeSourceCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The storm-restore entry points must refuse a source snapshot.
-	if _, err := RestoreCampaign(snap); err == nil {
-		t.Fatal("RestoreCampaign accepted a source-driven snapshot")
-	}
-	resumed, err := RestoreCampaignWithSource(snap, src())
+	decoded, err := checkpoint.Decode(snap.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed.Run(resumed.Remaining())
-	if got := RenderFig7(resumed.Result(), cfg.Policy.Min); got != want {
-		t.Fatalf("source-campaign resume diverged:\n%s\nwant:\n%s", got, want)
+	const want = "experiments: snapshot was taken with an external corruption source; only storm-driven campaigns restore"
+	if _, err := RestoreCampaign(decoded); err == nil || err.Error() != want {
+		t.Fatalf("RestoreCampaign = %v, want %q", err, want)
 	}
-
-	// Cross-engine: the same snapshot continues on the reference loop.
-	ref, err := RestoreReferenceCampaignWithSource(snap, src())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Run(ref.Remaining())
-	if got := RenderFig7(ref.Result(), cfg.Policy.Min); got != want {
-		t.Fatalf("cross-engine source resume diverged")
+	if _, err := RestoreReferenceCampaign(decoded); err == nil || err.Error() != want {
+		t.Fatalf("RestoreReferenceCampaign = %v, want %q", err, want)
 	}
 }
 

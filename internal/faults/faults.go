@@ -161,11 +161,6 @@ func (b *Burst) Step(rng *xrand.Rand) bool {
 // InBadState reports whether the model is currently in its bursty state.
 func (b *Burst) InBadState() bool { return b.bad }
 
-// SetBadState forces the model into (or out of) its bursty state. It
-// exists for checkpoint restore: a resumed scenario must continue the
-// Gilbert–Elliott chain from the state it was interrupted in.
-func (b *Burst) SetBadState(bad bool) { b.bad = bad }
-
 // Phase is one segment of a scheduled campaign: from Start (inclusive)
 // the campaign delegates to Model until the next phase begins.
 type Phase struct {
@@ -245,19 +240,6 @@ func (s *Scripted) Step(*xrand.Rand) bool {
 	hit := s.Strikes[s.step]
 	s.step++
 	return hit
-}
-
-// Pos reports how many steps the model has taken.
-func (s *Scripted) Pos() int64 { return s.step }
-
-// SetPos rewinds (or fast-forwards) the model to a given step count, for
-// checkpoint restore. Negative positions are rejected.
-func (s *Scripted) SetPos(p int64) error {
-	if p < 0 {
-		return fmt.Errorf("faults: negative scripted position %d", p)
-	}
-	s.step = p
-	return nil
 }
 
 // Latch models a permanent fault: once tripped it stays tripped until

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"aft/internal/experiments"
 )
 
 // organCapReproducer is a campaign spec whose Policy.Max of 2^31+1 once
@@ -101,6 +103,95 @@ func TestOrganSizeCap(t *testing.T) {
 			t.Fatal("over-cap stored job was recovered")
 		}
 	})
+}
+
+// sampleCapReproducer is a Fig. 7 campaign sampled every round. Its
+// 3 M samples make a snapshot of about 96 MB, past maxCheckpointBody: a
+// fleet accepted it, refused every upload past two million samples with
+// a 413, and re-granted the job from its last accepted checkpoint
+// forever.
+const sampleCapReproducer = "testdata/sample-cap/fig7-3000000-sample-every-1.json"
+
+// TestCampaignSampleCap pins the sample cap at POST /jobs: a campaign
+// that takes exactly maxCampaignSamples samples is accepted, one that
+// takes one more is refused with the pinned text, and so is the
+// committed reproducer. SampleEvery 20 makes the one-past case a single
+// round, so the test also pins the rounding up.
+func TestCampaignSampleCap(t *testing.T) {
+	reproducer, err := os.ReadFile(sampleCapReproducer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// withSampling is the reproducer with its length and period replaced.
+	withSampling := func(steps, every int64) string {
+		body := strings.Replace(string(reproducer), `"Steps":3000000`, fmt.Sprintf(`"Steps":%d`, steps), 1)
+		return strings.Replace(body, `"SampleEvery":1}`, fmt.Sprintf(`"SampleEvery":%d}`, every), 1)
+	}
+	const every = 20
+	pinned := "jobs: campaign takes %d samples (Steps/SampleEvery, rounded up), over the sample cap 2095104"
+	// No holders: the accepted campaign stays queued instead of
+	// sampling two million rounds.
+	s := newTestServer(t, Options{DisableLocalPool: true})
+	for _, tc := range []struct {
+		name, body string
+		wantErr    string // empty: accepted
+	}{
+		{"at the cap", withSampling(every*maxCampaignSamples, every), ""},
+		{"one past the cap", withSampling(every*maxCampaignSamples+1, every), fmt.Sprintf(pinned, maxCampaignSamples+1)},
+		{"reproducer", string(reproducer), fmt.Sprintf(pinned, 3_000_000)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var spec Spec
+			if err := json.Unmarshal([]byte(tc.body), &spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := spec.Validate(); (err == nil) != (tc.wantErr == "") || (err != nil && err.Error() != tc.wantErr) {
+				t.Fatalf("Validate = %v, want %q", err, tc.wantErr)
+			}
+			w := do(t, s, "POST", "/jobs", tc.body)
+			if tc.wantErr == "" {
+				if w.Code != http.StatusAccepted {
+					t.Fatalf("POST /jobs = %d %s, want 202", w.Code, w.Body)
+				}
+				return
+			}
+			var reply errorReply
+			if w.Code != http.StatusBadRequest || json.Unmarshal(w.Body.Bytes(), &reply) != nil || reply.Error != tc.wantErr {
+				t.Fatalf("POST /jobs = %d %s, want 400 %q", w.Code, w.Body, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestSnapshotAtSampleCapFitsBody measures a campaign at the sample cap
+// after 1 000 and 2 000 sampled rounds, extrapolates its snapshot to
+// maxCampaignSamples samples, and checks that the upload fits
+// maxCheckpointBody. The measured growth per sample must be the
+// snapshotBytesPerSample the cap is derived from.
+func TestSnapshotAtSampleCapFitsBody(t *testing.T) {
+	cfg := experiments.DefaultFig7Config(maxCampaignSamples)
+	cfg.SampleEvery = 1
+	c, err := experiments.NewCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func(rounds int64) int64 {
+		c.Run(rounds - c.Rounds())
+		snap, err := c.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(len(snap.Encode()))
+	}
+	const n1, n2 = 1000, 2000
+	s1, s2 := size(n1), size(n2)
+	if per := (s2 - s1) / (n2 - n1); per != snapshotBytesPerSample {
+		t.Fatalf("a sample adds %d bytes to a snapshot (%d B at %d samples, %d B at %d), the cap assumes %d",
+			per, s1, n1, s2, n2, snapshotBytesPerSample)
+	}
+	if atCap := s1 + snapshotBytesPerSample*(maxCampaignSamples-n1); atCap > maxCheckpointBody {
+		t.Fatalf("a snapshot at the sample cap is %d bytes, over the %d-byte body cap", atCap, maxCheckpointBody)
+	}
 }
 
 // fill is an endless body of one repeated byte.

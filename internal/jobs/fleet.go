@@ -60,6 +60,8 @@ const (
 // A Fig. 7 campaign snapshot is about 0.7 kB plus 32 bytes per Fig. 6
 // sample, so 64 MiB holds about two million samples without letting a
 // confused client exhaust memory; a larger body is refused with a 413.
+// Spec.Validate caps a campaign at maxCampaignSamples, derived from this
+// constant, so no accepted campaign can write a snapshot past it.
 const maxCheckpointBody = 64 << 20
 
 // LeaseRequest is the body of POST /v1/lease.

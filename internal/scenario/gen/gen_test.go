@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
-
-	"aft/internal/scenario"
 )
 
 // TestGeneratorDeterministic: the corpus is a pure function of the
@@ -74,33 +72,6 @@ func TestGeneratedSpecsRun(t *testing.T) {
 		spec := g.Next()
 		if sig, detail := Check(spec, true); sig != "" {
 			t.Fatalf("spec %s fails [%s]: %s", spec.Name, sig, detail)
-		}
-	}
-}
-
-// TestGeneratedSpecsResume: checkpoint/resume parity over generated
-// specs — resuming any corpus spec from its mid-run snapshot must
-// reproduce the fresh transcript byte for byte, clock-skewed watchdogs
-// and colluding or partitioned rounds included.
-func TestGeneratedSpecsResume(t *testing.T) {
-	g := New(13)
-	for i := 0; i < 25; i++ {
-		spec := g.Next()
-		fresh, err := scenario.Run(spec, scenario.Options{})
-		if err != nil {
-			t.Fatalf("spec %s: %v", spec.Name, err)
-		}
-		at := spec.Horizon / 2
-		snap, err := scenario.Checkpoint(spec, scenario.Options{}, at)
-		if err != nil {
-			t.Fatalf("spec %s: checkpoint at %d: %v", spec.Name, at, err)
-		}
-		res, err := scenario.Resume(snap)
-		if err != nil {
-			t.Fatalf("spec %s: resume: %v", spec.Name, err)
-		}
-		if res.Transcript != fresh.Transcript {
-			t.Fatalf("spec %s: resumed transcript diverges from fresh run (checkpoint at %d)", spec.Name, at)
 		}
 	}
 }

@@ -8,20 +8,15 @@
 // a candidate only when it still fails with the exact signature of the
 // original, and repeating passes to a fixpoint.
 //
-// Horizon bisection is the expensive pass, and its candidates differ
-// from the champion only in how long the run lasts — the prefix is
-// identical. So, hindsight-replay style, the shrinker checkpoints the
-// champion once just before the smallest horizon it will probe and
-// resumes every probe from that snapshot (scenario.ResumeSpec) instead
-// of re-executing the shared prefix from step zero.
+// Every candidate, horizon probes included, is replayed from step zero:
+// generated horizons are a few thousand steps and a run takes
+// milliseconds, so a checkpointed prefix would save nothing.
 
 package gen
 
 import (
 	"encoding/json"
-	"strings"
 
-	"aft/internal/checkpoint"
 	"aft/internal/scenario"
 )
 
@@ -244,36 +239,25 @@ func minHorizon(sp scenario.Spec) int64 {
 	return m
 }
 
-// shrinkHorizon binary-searches the smallest failing horizon. For
-// invariant failures the probes are resumed from a single checkpoint
-// of the champion's shared prefix (hindsight replay); the winning
-// horizon is then re-verified from scratch before being adopted.
+// shrinkHorizon binary-searches the smallest failing horizon. Each
+// probe goes through fails, so it is validated and memoized like any
+// other candidate.
 func (s *shrinker) shrinkHorizon(best scenario.Spec) (scenario.Spec, bool) {
 	lo, hi := minHorizon(best), best.Horizon
 	if lo >= hi {
 		return best, false
 	}
-	var snap *checkpoint.Snapshot
-	if strings.HasPrefix(s.sig, "invariant:") && lo >= 2 {
-		snap = s.prefixSnapshot(best, lo-2)
-	}
-	probe := func(h int64) bool {
+	withHorizon := func(h int64) scenario.Spec {
 		cand := cloneSpec(best)
 		cand.Horizon = h
-		if cand.Validate() != nil {
-			return false
-		}
-		if snap != nil {
-			return s.probeResume(snap, cand)
-		}
-		return s.fails(cand)
+		return cand
 	}
 	for lo < hi {
 		if s.evals >= shrinkBudget {
 			return best, false
 		}
 		mid := lo + (hi-lo)/2
-		if probe(mid) {
+		if s.fails(withHorizon(mid)) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -282,45 +266,5 @@ func (s *shrinker) shrinkHorizon(best scenario.Spec) (scenario.Spec, bool) {
 	if hi >= best.Horizon {
 		return best, false
 	}
-	cand := cloneSpec(best)
-	cand.Horizon = hi
-	if !s.fails(cand) {
-		// The prefix-replay probes and the from-scratch check disagree;
-		// trust the from-scratch check and keep the champion.
-		return best, false
-	}
-	return cand, true
-}
-
-// prefixSnapshot checkpoints the champion at step at, recovering from
-// any panic the prefix itself raises (nil disables prefix replay and
-// the probes fall back to from-scratch runs).
-func (s *shrinker) prefixSnapshot(best scenario.Spec, at int64) (snap *checkpoint.Snapshot) {
-	defer func() {
-		if recover() != nil {
-			snap = nil
-		}
-	}()
-	snap, err := scenario.Checkpoint(best, scenario.Options{}, at)
-	if err != nil {
-		return nil
-	}
-	return snap
-}
-
-// probeResume runs one horizon probe by resuming the champion's prefix
-// snapshot under the candidate spec, classifying only the invariant
-// outcome (the only failure class routed here).
-func (s *shrinker) probeResume(snap *checkpoint.Snapshot, cand scenario.Spec) (match bool) {
-	defer func() {
-		if recover() != nil {
-			match = false
-		}
-	}()
-	s.evals++
-	res, err := scenario.ResumeSpec(snap, cand)
-	if err != nil {
-		return false
-	}
-	return len(res.Violations) > 0 && "invariant:"+res.Violations[0].Invariant == s.sig
+	return withHorizon(hi), true
 }

@@ -185,9 +185,7 @@ func Run(spec Spec, opt Options) (*Result, error) {
 }
 
 // newRunner builds every subsystem of a run — program, organ campaign,
-// executor, watchdogs, invariants — without scheduling anything, so the
-// same construction serves fresh runs (schedule) and checkpoint resumes
-// (scheduleResume, which first overwrites the subsystems' states).
+// executor, watchdogs, invariants — without scheduling anything.
 func newRunner(spec Spec, opt Options) (*runner, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -249,8 +247,7 @@ func newRunner(spec Spec, opt Options) (*runner, error) {
 // schedule arms a fresh run at time zero: watchdog chains first, then
 // the teardown event, then the tick chain. The push order fixes the
 // execution order of same-time events (the scheduler orders by
-// (time, sequence)), and scheduleResume reproduces exactly this order
-// when it rebuilds the queue mid-flight.
+// (time, sequence)).
 func (r *runner) schedule() {
 	for _, wd := range r.dogs {
 		wd.Start(r.sched)
@@ -259,20 +256,14 @@ func (r *runner) schedule() {
 	// at the teardown step it runs first (same-time events execute in
 	// schedule order — the property the simclock re-entrancy test
 	// guards) and no voting round executes at or after it.
-	r.scheduleTeardown()
-	r.sched.At(0, r.tick)
-}
-
-// scheduleTeardown arms the teardown event, if the spec has one.
-func (r *runner) scheduleTeardown() {
-	if r.spec.TeardownAt <= 0 {
-		return
+	if r.spec.TeardownAt > 0 {
+		r.sched.At(simclock.Time(r.spec.TeardownAt), func(s *simclock.Scheduler) {
+			r.torn = true
+			r.inv.freezeRounds()
+			r.rec.Record(int64(s.Now()), "teardown", "organ", "voting farm decommissioned")
+		})
 	}
-	r.sched.At(simclock.Time(r.spec.TeardownAt), func(s *simclock.Scheduler) {
-		r.torn = true
-		r.inv.freezeRounds()
-		r.rec.Record(int64(s.Now()), "teardown", "organ", "voting farm decommissioned")
-	})
+	r.sched.At(0, r.tick)
 }
 
 // buildExecutor wires the §3.2 target: a primary that dies with the

@@ -61,29 +61,11 @@ func New() *Scheduler {
 	return &Scheduler{}
 }
 
-// NewAt returns an empty scheduler whose clock starts at t. Checkpoint
-// restore uses it to rebuild a simulation mid-flight: events scheduled
-// with At for times before t are clamped to t, exactly as they would be
-// on a scheduler that had actually run to t.
-func NewAt(t Time) *Scheduler {
-	return &Scheduler{now: t}
-}
-
 // Now reports the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
 // Pending reports the number of events waiting to run.
 func (s *Scheduler) Pending() int { return len(s.queue) }
-
-// Next reports the time of the earliest pending event. ok is false when
-// the queue is empty. Checkpointing uses it to run a simulation up to —
-// and including — an arbitrary step, horizon conventions aside.
-func (s *Scheduler) Next() (t Time, ok bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].at, true
-}
 
 // At schedules fn to run at absolute time t. Events scheduled for the
 // past run at the current time, preserving FIFO order among same-time

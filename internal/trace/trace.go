@@ -32,8 +32,6 @@ func (e Event) String() string {
 // Recorder accumulates events. It is safe for concurrent use. A nil
 // *Recorder discards events, so components can accept an optional
 // recorder without nil checks at every call site.
-//
-//aftvet:allow snapshotpair -- the export side is Events (a defensive copy) whose name predates the pair convention; Restore(Events()) round-trips exactly
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
@@ -73,19 +71,6 @@ func (r *Recorder) Record(now int64, kind, subject, format string, args ...any) 
 		drop := len(r.events) - r.limit
 		r.events = append(r.events[:0], r.events[drop:]...)
 	}
-}
-
-// Restore replaces the recorder's contents with a copy of events, in
-// order. Checkpoint resume uses it to seed a fresh recorder with the
-// transcript prefix recorded before the interruption, so the resumed
-// run's Transcript is the seamless whole.
-func (r *Recorder) Restore(events []Event) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.events = append(r.events[:0], events...)
 }
 
 // Events returns a copy of the recorded events.

@@ -61,28 +61,3 @@ func TestSkewWithinToleranceIsHarmless(t *testing.T) {
 		t.Fatalf("tolerated skew fired %d times", w.Fires())
 	}
 }
-
-// TestSkewSurvivesStateRoundTrip: skew is part of the exported state,
-// so a checkpointed run resumes with the same effective clocks.
-func TestSkewSurvivesStateRoundTrip(t *testing.T) {
-	a, err := New(Config{Interval: 10, Deadline: 15}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.SetSkew(7)
-	a.Beat(42)
-	st := a.ExportState()
-	if st.Skew != 7 {
-		t.Fatalf("exported skew %d, want 7", st.Skew)
-	}
-	b, err := New(Config{Interval: 10, Deadline: 15}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	if b.Skew() != 7 || b.LastBeat() != 42 {
-		t.Fatalf("restored skew=%d lastBeat=%d", b.Skew(), b.LastBeat())
-	}
-}

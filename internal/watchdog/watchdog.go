@@ -119,61 +119,6 @@ func (w *Watchdog) Beat(now simclock.Time) {
 // A stopped watchdog can be restarted with Start.
 func (w *Watchdog) Stop() { w.stopped = true }
 
-// State is the serializable state of a Watchdog, for checkpointing (see
-// internal/checkpoint). The check chain itself is not state — a resumed
-// run reschedules it with ResumeAt.
-type State struct {
-	// LastBeat is the virtual time of the most recent heartbeat.
-	LastBeat simclock.Time
-	// Beats and Fires are the cumulative counters.
-	Beats, Fires int64
-	// Skew is the local-clock offset in force at snapshot time (see
-	// SetSkew). Zero for snapshots written before skew existed, which
-	// restores the historical behaviour.
-	Skew simclock.Time
-}
-
-// ExportState captures the watchdog's counters, heartbeat watermark,
-// and clock skew.
-func (w *Watchdog) ExportState() State {
-	return State{LastBeat: w.lastBeat, Beats: w.beats, Fires: w.fires, Skew: w.skew}
-}
-
-// RestoreState rewinds the watchdog to a previously exported state. Call
-// it before ResumeAt, which does not reset the heartbeat watermark.
-func (w *Watchdog) RestoreState(st State) error {
-	if st.Beats < 0 || st.Fires < 0 {
-		return fmt.Errorf("watchdog: negative restored counters")
-	}
-	w.lastBeat = st.LastBeat
-	w.beats = st.Beats
-	w.fires = st.Fires
-	w.skew = st.Skew
-	return nil
-}
-
-// ResumeAt restarts the periodic checks of a restored watchdog with the
-// first check at the absolute virtual time firstCheck, then every
-// Interval. Unlike Start it preserves the last-heartbeat watermark, so
-// a silence that began before the checkpoint still fires on schedule —
-// the property that keeps resumed chaos transcripts byte-identical.
-// Like Start, it retires any check chain from a previous generation.
-func (w *Watchdog) ResumeAt(s *simclock.Scheduler, firstCheck simclock.Time) {
-	w.started = true
-	w.stopped = false
-	w.gen++
-	gen := w.gen
-	var tick simclock.Event
-	tick = func(sc *simclock.Scheduler) {
-		if w.stopped || w.gen != gen {
-			return
-		}
-		w.check(sc.Now())
-		sc.After(w.cfg.Interval, tick)
-	}
-	s.At(firstCheck, tick)
-}
-
 // Fires reports how many times the watchdog has fired.
 func (w *Watchdog) Fires() int64 { return w.fires }
 

@@ -79,8 +79,7 @@ func runSnapshotPair(p *Package, report reporter) {
 		sort.Strings(methodRestores)
 		// A package-level Restore*/Resume* constructor satisfies the
 		// restore side but creates no obligation of its own: the type it
-		// returns may be a plain result, not a state holder (the
-		// scenario.Resume -> *Result shape).
+		// returns may be a plain result, not a state holder.
 		_, funcRestored := restoredByFunc[tn]
 		switch {
 		case len(exports) > 0 && len(methodRestores) == 0 && !funcRestored:
