@@ -454,12 +454,11 @@ func BenchmarkBatchRun(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchParallel measures RunBatchParallel end to end — 32
-// Fig. 7-style lanes of 100k rounds sharded across the pool — at
-// several worker counts, reporting aggregate lane-rounds per second.
-// On a multi-core host the rounds/sec metric scales with cores on top
-// of the batch engine's single-core gain (cmd/aft-bench -fig benchbatch
-// records the full cores × width grid in BENCH_trajectory.json).
+// BenchmarkBatchParallel measures SweepSeeds end to end — 32 Fig.
+// 7-style lanes of 100k rounds, one pool task each — at several worker
+// counts, reporting aggregate lane-rounds per second. On a multi-core
+// host the rounds/sec metric scales with cores on top of the batch
+// engine's single-core gain.
 func BenchmarkBatchParallel(b *testing.B) {
 	const lanes, steps = 32, 100_000
 	cfg := experiments.DefaultFig7Config(steps)
@@ -469,7 +468,7 @@ func BenchmarkBatchParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunBatchParallel(cfg, seeds, 0, workers); err != nil {
+				if _, err := experiments.SweepSeeds(cfg, seeds, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

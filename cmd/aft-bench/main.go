@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	aft-bench [-fig 4|5|6|7|e5|e6|e7|e8|e9|e10|bench7|benchbatch|all]
-//	          [-steps N] [-seed S] [-parallel W] [-batch-width W]
+//	aft-bench [-fig 4|5|6|7|e5|e6|e7|e8|e9|e10|bench7|all]
+//	          [-steps N] [-seed S] [-parallel W]
 //	          [-bench-out FILE] [-trajectory FILE]
 //
 // -steps applies to the Fig. 7 run; pass 65000000 for the paper's full
@@ -21,24 +21,6 @@
 // appends a dated entry to -trajectory, the append-only perf history
 // (the snapshot alone is a single overwritten point). It is not part of
 // "all".
-//
-// -fig benchbatch measures the batch-lockstep campaign engine across a
-// cores × batch-width grid: for every (cores, width) point it runs a
-// width-lane sweep per worker through RunBatchParallel, checks lane 0's
-// Fig. 7 transcript against the scalar engine, and appends one
-// trajectory entry per point (with cores and batch_width fields)
-// reporting aggregate lane-rounds/sec and the speedup over the scalar
-// single-core baseline. -batch-width W collapses the width axis to the
-// single value W. Not part of "all".
-//
-// -serve-load ignores -fig and runs the aft-serve load harness instead:
-// an in-process jobs server driven by -load-jobs concurrent burst
-// submitters spread across -load-clients client IDs plus one closed-loop
-// trickle client, once under the fifo baseline scheduler and once under
-// the fair scheduler. Both runs' p50/p99 submit-to-done latencies,
-// per-client fairness spread, and drop counters are appended to
-// -trajectory; -load-assert-fairness turns the expected fairness win
-// (fair trickle p99 below the fifo baseline's) into a hard check.
 package main
 
 import (
@@ -54,7 +36,6 @@ import (
 	"aft/internal/checkpoint"
 	"aft/internal/cli"
 	"aft/internal/experiments"
-	"aft/internal/xrand"
 )
 
 func main() {
@@ -65,37 +46,14 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("aft-bench", flag.ContinueOnError)
-	fig := fs.String("fig", "all", "which artefact to regenerate: 4, 5, 6, 7, e5..e10, bench7, benchbatch, all")
+	fig := fs.String("fig", "all", "which artefact to regenerate: 4, 5, 6, 7, e5..e10, bench7, all")
 	steps := fs.Int64("steps", 2_000_000, "rounds for the Fig. 7 run (paper: 65000000)")
 	seed := fs.Uint64("seed", 1906, "random seed")
 	parallel := fs.Int("parallel", 1, "worker pool for the E8/E9/E10 sweeps: 1 = serial, 0 = one per CPU, N = N workers")
-	batchWidth := fs.Int("batch-width", 0, "lanes per batch for -fig benchbatch: 0 sweeps {1,8,16,32}, W measures only width W")
 	benchOut := fs.String("bench-out", "BENCH_fig7.json", "where -fig bench7 writes its JSON snapshot")
 	trajectory := fs.String("trajectory", "BENCH_trajectory.json", "append-only perf history -fig bench7 extends (empty = skip)")
-	serveLoad := fs.Bool("serve-load", false, "run the aft-serve load harness (fifo baseline then fair scheduler) and append both results to -trajectory")
-	loadJobs := fs.Int("load-jobs", 1000, "serve-load: burst jobs, one concurrent submitter each")
-	loadClients := fs.Int("load-clients", 8, "serve-load: burst client IDs the submitters are spread across")
-	loadWorkers := fs.Int("load-workers", 2, "serve-load: server worker goroutines")
-	loadHorizon := fs.Int64("load-horizon", 500, "serve-load: scenario horizon per job (service time knob)")
-	loadTrickle := fs.Int("load-trickle", 16, "serve-load: closed-loop jobs from the one trickle client")
-	loadRate := fs.Float64("load-rate", 0, "serve-load: paced submissions/sec per burst submitter (0 = all at once)")
-	loadAssert := fs.Bool("load-assert-fairness", false, "serve-load: fail unless the fair run's trickle p99 beats the fifo baseline's")
 	if done, err := cli.Parse(fs, args, stdout); done {
 		return err
-	}
-
-	if *serveLoad {
-		return runServeLoad(serveLoadOptions{
-			Jobs:           *loadJobs,
-			Clients:        *loadClients,
-			Workers:        *loadWorkers,
-			Horizon:        *loadHorizon,
-			TrickleJobs:    *loadTrickle,
-			Rate:           *loadRate,
-			Seed:           *seed,
-			Trajectory:     *trajectory,
-			AssertFairness: *loadAssert,
-		}, stdout)
 	}
 
 	runners := map[string]func() error{
@@ -189,9 +147,6 @@ func run(args []string, stdout io.Writer) error {
 		"bench7": func() error {
 			return runBench7(*steps, *seed, *benchOut, *trajectory, stdout)
 		},
-		"benchbatch": func() error {
-			return runBenchBatch(*steps, *seed, *batchWidth, *trajectory, stdout)
-		},
 	}
 
 	order := []string{"4", "5", "6", "7", "e5", "e6", "e7", "e8", "e9", "e10"}
@@ -202,7 +157,7 @@ func run(args []string, stdout io.Writer) error {
 	if *fig != "all" {
 		r, ok := runners[*fig]
 		if !ok {
-			return fmt.Errorf("unknown figure %q (want 4, 5, 6, 7, e5..e10, bench7, benchbatch, all)", *fig)
+			return fmt.Errorf("unknown figure %q (want 4, 5, 6, 7, e5..e10, bench7, all)", *fig)
 		}
 		return r()
 	}
@@ -215,21 +170,13 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// trajectoryEntry is one dated point of the append-only perf history.
-// bench7 entries leave Cores and BatchWidth zero (scalar, single
-// campaign); benchbatch entries set both, turning the file into the
-// cores × batch-width scaling record of the batch engine. For a
-// benchbatch entry, EngineNs and RoundsSec are per lane-round and
-// aggregate lane-rounds/sec, RefNs is the scalar fused engine's
-// single-core ns/round on the same host, and Speedup is aggregate
-// batch throughput over that scalar baseline.
+// trajectoryEntry is one dated bench7 point of the append-only perf
+// history.
 type trajectoryEntry struct {
 	Date       string  `json:"date"`
 	Steps      int64   `json:"steps"`
 	Seed       uint64  `json:"seed"`
 	GoMaxProcs int     `json:"gomaxprocs"`
-	Cores      int     `json:"cores,omitempty"`
-	BatchWidth int     `json:"batch_width,omitempty"`
 	EngineNs   float64 `json:"engine_ns_per_round"`
 	RefNs      float64 `json:"reference_ns_per_round"`
 	Speedup    float64 `json:"speedup"`
@@ -239,10 +186,10 @@ type trajectoryEntry struct {
 // appendTrajectory extends the perf-history file with one entry. The
 // file is a JSON array; a missing file starts a new history, a corrupt
 // one is an error (history should never be silently discarded). The
-// history holds entries of several schemas (bench7, benchbatch,
-// serve-load), so existing entries pass through as raw JSON — an
+// history also holds entries of the retired batch-width and serve-load
+// harnesses, so existing entries pass through as raw JSON — an
 // appender must never strip fields it does not know about.
-func appendTrajectory(path string, e any) error {
+func appendTrajectory(path string, e trajectoryEntry) error {
 	var entries []json.RawMessage
 	data, err := os.ReadFile(path)
 	switch {
@@ -393,111 +340,6 @@ func runBench7(steps int64, seed uint64, out, trajectory string, stdout io.Write
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "perf history appended to %s\n", trajectory)
-	}
-	return nil
-}
-
-// benchBatchCores picks the cores axis of the benchbatch grid: powers
-// of two up to the machine's CPU count, always ending at the full
-// count. On a 4-core runner this is {1, 2, 4}; a single-core host
-// measures only {1} rather than pretending timeshared threads are
-// cores.
-func benchBatchCores() []int {
-	max := runtime.NumCPU()
-	var cores []int
-	for c := 1; c < max; c *= 2 {
-		cores = append(cores, c)
-	}
-	return append(cores, max)
-}
-
-// runBenchBatch measures the batch-lockstep engine across a cores ×
-// batch-width grid and appends one trajectory entry per point.
-//
-// Every grid point runs width lanes per worker (width × cores lanes in
-// total, so each worker owns exactly one batch) for the configured
-// number of rounds, under GOMAXPROCS pinned to the point's core count.
-// The scalar baseline is the fused engine on lane 0's seed, single
-// campaign, and lane 0's Fig. 7 transcript at every grid point must
-// match the baseline's — a throughput number from an engine that
-// diverged from the science is worthless, so divergence is a hard
-// error, not a footnote.
-func runBenchBatch(steps int64, seed uint64, batchWidth int, trajectory string, stdout io.Writer) error {
-	cfg := experiments.DefaultFig7Config(steps)
-
-	widths := []int{1, 8, 16, 32}
-	if batchWidth > 0 {
-		widths = []int{batchWidth}
-	}
-	cores := benchBatchCores()
-	maxLanes := widths[len(widths)-1] * cores[len(cores)-1]
-	// Seeds is prefix-stable in its count, so lane 0 draws the same seed
-	// at every grid size — and it is the seed the baseline runs.
-	seeds := xrand.Seeds(seed, maxLanes)
-
-	baseCfg := cfg
-	baseCfg.Seed = seeds[0]
-	fmt.Fprintf(stdout, "benchbatch: scalar baseline, %d rounds (seed %d)\n", cfg.Steps, baseCfg.Seed)
-	var baseRes experiments.AdaptiveRunResult
-	baseline, err := measureCampaign(cfg.Steps, func() error {
-		eng, err := experiments.NewCampaign(baseCfg)
-		if err != nil {
-			return err
-		}
-		eng.Run(baseCfg.Steps)
-		baseRes = eng.Result()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	baseFig7 := experiments.RenderFig7(baseRes, cfg.Policy.Min)
-	fmt.Fprintf(stdout, "scalar:    %8.1f ns/round  %12.0f rounds/sec\n",
-		baseline.NsPerRound, baseline.RoundsPerSec)
-
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	now := time.Now().UTC().Format(time.RFC3339)
-	for _, c := range cores {
-		runtime.GOMAXPROCS(c)
-		for _, w := range widths {
-			lanes := w * c
-			t0 := time.Now()
-			results, err := experiments.RunBatchParallel(cfg, seeds[:lanes], w, c)
-			if err != nil {
-				return err
-			}
-			elapsed := time.Since(t0)
-			if got := experiments.RenderFig7(results[0], cfg.Policy.Min); got != baseFig7 {
-				return fmt.Errorf("benchbatch: cores=%d width=%d: lane 0 transcript diverges from the scalar engine — refusing to record", c, w)
-			}
-			totalRounds := float64(lanes) * float64(cfg.Steps)
-			roundsSec := totalRounds / elapsed.Seconds()
-			laneNs := float64(elapsed.Nanoseconds()) / totalRounds
-			speedup := roundsSec / baseline.RoundsPerSec
-			fmt.Fprintf(stdout, "cores=%d width=%-3d %8.1f ns/lane-round  %12.0f rounds/sec  %6.2fx vs scalar\n",
-				c, w, laneNs, roundsSec, speedup)
-			if trajectory != "" {
-				err := appendTrajectory(trajectory, trajectoryEntry{
-					Date:       now,
-					Steps:      cfg.Steps,
-					Seed:       seed,
-					GoMaxProcs: c,
-					Cores:      c,
-					BatchWidth: w,
-					EngineNs:   laneNs,
-					RefNs:      baseline.NsPerRound,
-					Speedup:    speedup,
-					RoundsSec:  roundsSec,
-				})
-				if err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if trajectory != "" {
 		fmt.Fprintf(stdout, "perf history appended to %s\n", trajectory)
 	}
 	return nil

@@ -294,7 +294,7 @@ func RunE8(steps int64, seed uint64, workers int) ([]E8Row, error) {
 	}
 	lanes = append(lanes, BatchLane{Seed: seed, Policy: redundancy.DefaultPolicy()})
 	cfg := AdaptiveRunConfig{Steps: steps, Policy: redundancy.DefaultPolicy(), Storms: storms}
-	results, err := runLanesParallel(cfg, lanes, 0, workers)
+	results, err := runLanesParallel(cfg, lanes, workers)
 	if err != nil {
 		return nil, err
 	}

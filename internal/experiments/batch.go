@@ -46,9 +46,8 @@
 // RestoreBatchCampaign), because it writes the exact scalar campaign
 // snapshot schema.
 //
-// RunAdaptive runs a one-lane batch. RunBatchParallel, the seed and
-// replica sweeps, and the E8/E10 sweeps run one lane per pool task
-// unless a caller names a batch width.
+// RunAdaptive runs a one-lane batch, and the seed and replica sweeps
+// and the E8/E10 sweeps run one lane per pool task.
 //
 // A BatchCampaign holds interior pointers into its own slices (the
 // per-lane storm generators alias stormRng), so it must not be copied
@@ -68,10 +67,9 @@ import (
 
 // DefaultBatchWidth is the customary lane count of one batch, the unit
 // the repository's benchmark sizes its seed sweep in (two batches per
-// pass, one per core of a two-core machine). RunBatchParallel and the
-// sweeps do not group lanes by it: given no width, they run each lane
-// as its own pool task, since Run's per-lane cost does not depend on
-// the width.
+// pass, one per core of a two-core machine). The sweeps do not group
+// lanes by it: they run each lane as its own pool task, since Run's
+// per-lane cost does not depend on the width.
 const DefaultBatchWidth = 16
 
 // BatchLane describes one lane of a batch: its seed and its controller
@@ -586,58 +584,19 @@ func RestoreBatchCampaign(snaps []*checkpoint.Snapshot) (*BatchCampaign, error) 
 	return b, nil
 }
 
-// RunBatchParallel runs one campaign per seed, all with cfg.Policy, by
-// slicing the seeds into width-lane batches and scheduling the batches
-// on a workers-wide pool. Result i corresponds to seeds[i], and the
-// results are byte-identical for every (width, workers) combination —
-// lanes are independent, so grouping is a scheduling detail. width <= 0
-// makes every lane its own pool task.
-func RunBatchParallel(cfg AdaptiveRunConfig, seeds []uint64, width, workers int) ([]AdaptiveRunResult, error) {
-	lanes := make([]BatchLane, len(seeds))
-	for i, s := range seeds {
-		lanes[i] = BatchLane{Seed: s, Policy: cfg.Policy}
-	}
-	return runLanesParallel(cfg, lanes, width, workers)
-}
-
-// runLanesParallel is the shared driver behind RunBatchParallel and the
-// lane-based sweeps: chunk the lanes into width-lane batches, run each
-// batch to completion on the worker pool, and flatten the per-lane
-// results back into lane order. width <= 0 means one lane per batch:
-// Run's per-lane cost does not depend on the width, so the finest split
-// costs nothing, and a worker that finishes early takes the next lane
-// instead of idling while a slower core works through a fixed share.
-func runLanesParallel(cfg AdaptiveRunConfig, lanes []BatchLane, width, workers int) ([]AdaptiveRunResult, error) {
-	if len(lanes) == 0 {
-		return []AdaptiveRunResult{}, nil
-	}
-	if width <= 0 {
-		width = 1
-	}
-	nChunks := (len(lanes) + width - 1) / width
-	chunks, err := RunParallel(nChunks, workers, func(i int) ([]AdaptiveRunResult, error) {
-		lo := i * width
-		hi := lo + width
-		if hi > len(lanes) {
-			hi = len(lanes)
-		}
-		b, err := NewBatchCampaignLanes(cfg, lanes[lo:hi])
+// runLanesParallel is the driver behind the lane-based sweeps: every
+// lane is its own pool task, run to completion on a one-lane batch, and
+// the results come back in lane order. Run's per-lane cost does not
+// depend on the batch width, so the finest split costs nothing, and a
+// worker that finishes early takes the next lane instead of idling
+// while a slower core works through a fixed share.
+func runLanesParallel(cfg AdaptiveRunConfig, lanes []BatchLane, workers int) ([]AdaptiveRunResult, error) {
+	return RunParallel(len(lanes), workers, func(i int) (AdaptiveRunResult, error) {
+		b, err := NewBatchCampaignLanes(cfg, lanes[i:i+1])
 		if err != nil {
-			return nil, err
+			return AdaptiveRunResult{}, err
 		}
 		b.RunAll()
-		out := make([]AdaptiveRunResult, hi-lo)
-		for l := range out {
-			out[l] = b.Result(l)
-		}
-		return out, nil
+		return b.Result(0), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	results := make([]AdaptiveRunResult, 0, len(lanes))
-	for _, c := range chunks {
-		results = append(results, c...)
-	}
-	return results, nil
 }

@@ -277,32 +277,6 @@ func TestRestoreBatchCampaignRejectsMismatches(t *testing.T) {
 	}
 }
 
-// TestRunBatchParallelDeterministic asserts sweep results are identical
-// for every (width, workers) combination — lanes are independent, so
-// batching and scheduling are pure bookkeeping.
-func TestRunBatchParallelDeterministic(t *testing.T) {
-	cfg := DefaultFig7Config(20_000)
-	seeds := xrand.Seeds(1906, 10)
-	base, err := RunBatchParallel(cfg, seeds, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base) != len(seeds) {
-		t.Fatalf("%d results for %d seeds", len(base), len(seeds))
-	}
-	for _, width := range []int{0, 3, 16} {
-		for _, workers := range []int{1, 4} {
-			got, err := RunBatchParallel(cfg, seeds, width, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, base) {
-				t.Fatalf("width=%d workers=%d diverged from serial width-1 run", width, workers)
-			}
-		}
-	}
-}
-
 // TestBatchE8MatchesScalarCells runs the lane-based E8 sweep against
 // the retained scalar oracles (runFixed, e8Autonomic): every contender
 // row must be identical.

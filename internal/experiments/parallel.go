@@ -91,11 +91,15 @@ func RunParallel[T any](n, workers int, task func(i int) (T, error)) ([]T, error
 
 // SweepSeeds runs the same adaptive configuration once per seed — the
 // independent-replica dimension of a Fig. 7-style campaign — on the
-// batch engine, slicing the seeds into batches sharded across
-// the pool. Result i always corresponds to seeds[i] and is identical to
-// RunAdaptive with that seed.
+// batch engine, one lane per pool task. Result i always corresponds to
+// seeds[i] and is identical to RunAdaptive with that seed, for every
+// worker count.
 func SweepSeeds(cfg AdaptiveRunConfig, seeds []uint64, workers int) ([]AdaptiveRunResult, error) {
-	return RunBatchParallel(cfg, seeds, 0, workers)
+	lanes := make([]BatchLane, len(seeds))
+	for i, s := range seeds {
+		lanes[i] = BatchLane{Seed: s, Policy: cfg.Policy}
+	}
+	return runLanesParallel(cfg, lanes, workers)
 }
 
 // SweepReplicas runs n replicas of the same adaptive configuration with

@@ -187,7 +187,7 @@ func RunE10(steps int64, seed uint64, lowerAfters []int, workers int) ([]E10Row,
 		lanes[i] = BatchLane{Seed: seed, Policy: policy}
 	}
 	cfg := AdaptiveRunConfig{Steps: steps, Policy: redundancy.DefaultPolicy(), Storms: storms}
-	results, err := runLanesParallel(cfg, lanes, 0, workers)
+	results, err := runLanesParallel(cfg, lanes, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,8 @@ const organCapReproducer = "testdata/organ-cap/max-2147483649.json"
 // TestOrganSizeCap pins the organ-size cap at POST /jobs: a campaign at
 // the cap is accepted and runs to done, one just under it is accepted,
 // and one just over it, like the committed reproducer, is refused with
-// the pinned text.
+// the pinned text. A store written before the cap recovers the
+// reproducer failed with that text, or serving its stored result.
 func TestOrganSizeCap(t *testing.T) {
 	reproducer, err := os.ReadFile(organCapReproducer)
 	if err != nil {
@@ -78,31 +79,56 @@ func TestOrganSizeCap(t *testing.T) {
 	}
 
 	// A store that already holds the reproducer, written before the cap
-	// existed: the restart scan drops it with a note instead of queuing
-	// it. The server runs no holders, so a regression cannot run it.
+	// existed: the restart scan notes it and recovers it failed, with
+	// the reason, instead of queuing it. The server runs no holders, so
+	// a regression cannot run it.
 	t.Run("stored reproducer", func(t *testing.T) {
-		var spec Spec
-		if err := json.Unmarshal(reproducer, &spec); err != nil {
-			t.Fatal(err)
-		}
-		dir := t.TempDir()
-		st, err := openStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
 		const id = "35d4a5b3c0e1f2a7"
-		if err := st.writeSpec(id, storedSpec{Seq: 1, Spec: spec}); err != nil {
-			t.Fatal(err)
+		s := serveStoredSpec(t, reproducer, id, nil)
+		const reason = "invalid spec: jobs: campaign Policy.Max 2147483649 exceeds the organ-size cap 255"
+		if notes := s.RecoveryNotes(); len(notes) != 1 || notes[0] != "job "+id+": "+reason {
+			t.Fatalf("recovery notes %q, want [%q]", notes, "job "+id+": "+reason)
 		}
-		s := newTestServer(t, Options{Dir: dir, DisableLocalPool: true})
-		want := fmt.Sprintf("job %s: invalid spec: jobs: campaign Policy.Max 2147483649 exceeds the organ-size cap 255", id)
-		if notes := s.RecoveryNotes(); len(notes) != 1 || notes[0] != want {
-			t.Fatalf("recovery notes %q, want [%q]", notes, want)
-		}
-		if _, ok := s.StatusOf(id); ok {
-			t.Fatal("over-cap stored job was recovered")
+		if st, ok := s.StatusOf(id); !ok || st.State != StateFailed || st.Error != reason {
+			t.Fatalf("stored over-cap job: %+v (found %v), want failed %q", st, ok, reason)
 		}
 	})
+	// One that had already finished before the cap keeps serving its
+	// result.
+	t.Run("stored reproducer with a result", func(t *testing.T) {
+		const id = "35d4a5b3c0e1f2a7"
+		done := &Result{ID: id, Kind: KindCampaign, State: StateDone, Rounds: 1000, Transcript: "stored\n"}
+		s := serveStoredSpec(t, reproducer, id, done)
+		if res, ok := s.ResultOf(id); !ok || res == nil || res.State != StateDone || res.Transcript != done.Transcript {
+			t.Fatalf("stored over-cap job with a result: %+v (found %v), want the stored result", res, ok)
+		}
+	})
+}
+
+// serveStoredSpec writes specJSON into a fresh store under id, with res
+// as its terminal record when non-nil, the way a server from before the
+// spec's bound existed would have, and opens a server on the store that
+// runs no holders.
+func serveStoredSpec(t *testing.T, specJSON []byte, id string, res *Result) *Server {
+	t.Helper()
+	var spec Spec
+	if err := json.Unmarshal(specJSON, &spec); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := openStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.writeSpec(id, storedSpec{Seq: 1, Spec: spec}); err != nil {
+		t.Fatal(err)
+	}
+	if res != nil {
+		if err := st.writeResult(id, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return newTestServer(t, Options{Dir: dir, DisableLocalPool: true})
 }
 
 // sampleCapReproducer is a Fig. 7 campaign sampled every round. Its
@@ -115,7 +141,8 @@ const sampleCapReproducer = "testdata/sample-cap/fig7-3000000-sample-every-1.jso
 // TestCampaignSampleCap pins the sample cap at POST /jobs: a campaign
 // that takes exactly maxCampaignSamples samples is accepted, one that
 // takes one more is refused with the pinned text, and so is the
-// committed reproducer. SampleEvery 20 makes the one-past case a single
+// committed reproducer, which a store written before the cap recovers
+// as a failed job. SampleEvery 20 makes the one-past case a single
 // round, so the test also pins the rounding up.
 func TestCampaignSampleCap(t *testing.T) {
 	reproducer, err := os.ReadFile(sampleCapReproducer)
@@ -161,6 +188,27 @@ func TestCampaignSampleCap(t *testing.T) {
 			}
 		})
 	}
+
+	// A store that holds the reproducer, accepted before the cap: its
+	// client reads the job failed with the pinned text, and a
+	// resubmission is refused with the same text.
+	t.Run("stored reproducer", func(t *testing.T) {
+		const id = "5a3c0e1f2a735d4b"
+		s := serveStoredSpec(t, reproducer, id, nil)
+		want := "invalid spec: " + fmt.Sprintf(pinned, 3_000_000)
+		w := do(t, s, "GET", "/jobs/"+id, "")
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET /jobs/%s = %d %s, want 200", id, w.Code, w.Body)
+		}
+		if st := decode[Status](t, w); st.State != StateFailed || st.Error != want {
+			t.Fatalf("GET /jobs/%s = %+v, want failed %q", id, st, want)
+		}
+		var reply errorReply
+		if w := do(t, s, "POST", "/jobs", string(reproducer)); w.Code != http.StatusBadRequest ||
+			json.Unmarshal(w.Body.Bytes(), &reply) != nil || reply.Error != fmt.Sprintf(pinned, 3_000_000) {
+			t.Fatalf("resubmit = %d %s, want 400 %q", w.Code, w.Body, fmt.Sprintf(pinned, 3_000_000))
+		}
+	})
 }
 
 // TestSnapshotAtSampleCapFitsBody measures a campaign at the sample cap

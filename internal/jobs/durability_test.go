@@ -8,6 +8,7 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"aft/internal/checkpoint"
 	"aft/internal/experiments"
 )
 
@@ -258,5 +260,92 @@ func TestStoreWithLegacyMemoDirRecovers(t *testing.T) {
 	}
 	if cells, err := os.ReadDir(filepath.Join(dir, "memo")); err != nil || len(cells) != 4 {
 		t.Fatalf("memo/ holds %d entries (%v), want the 4 cells left as they were", len(cells), err)
+	}
+}
+
+// -update rewrites testdata/fused-store. Workflow:
+//
+//	go test ./internal/jobs -run TestFusedStoreResumes -update
+//
+// and review the diff like any other code change. Regenerate only while
+// holders still write fused-engine checkpoints: the fixture exists to
+// prove that such checkpoints, already on disk, outlive that engine.
+var update = flag.Bool("update", false, "rewrite the fused-store fixture")
+
+// fusedStore is a store a server left behind when it was killed
+// mid-campaign: a spec and the campaign's last checkpoint, written by
+// the fused engine, and no result.
+const fusedStore = "testdata/fused-store"
+
+// writeFusedStore runs spec on a server whose holders halt after the
+// third 9 000-round checkpoint, as a kill -9 at that instant would, and
+// copies the store it leaves into the fixture.
+func writeFusedStore(t *testing.T, spec Spec) {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := NewServer(Options{Dir: dir, Workers: 1, CheckpointEvery: 9_000, testHaltAfter: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-s.halted:
+	case <-time.After(time.Minute):
+		t.Fatal("crash hook never fired")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(fusedStore); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.CopyFS(fusedStore, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFusedStoreResumes opens a copy of testdata/fused-store with
+// in-process holders. The job resumes from the fused engine's
+// checkpoint and ends done, over every round, with the transcript of
+// the uninterrupted run.
+func TestFusedStoreResumes(t *testing.T) {
+	cfg := testCampaign(60_000, 500)
+	spec := Spec{Kind: KindCampaign, Campaign: &cfg}
+	id, err := spec.ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		writeFusedStore(t, spec)
+	}
+	snap, err := checkpoint.ReadFile(filepath.Join(fusedStore, "jobs", id, "checkpoint.aftckpt"))
+	if err != nil {
+		t.Fatalf("fixture checkpoint (run with -update to create): %v", err)
+	}
+	if engine := string(snap.Section("meta")); engine != "fused" {
+		t.Fatalf("fixture checkpoint written by %q, want the fused engine", engine)
+	}
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(fusedStore)); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{Dir: dir, Workers: 1, CheckpointEvery: 9_000})
+	res, err := s.Wait(waitCtx(t), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := experiments.RunAdaptive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := CampaignResult(id, cfg, ref, false)
+	if res.State != StateDone || res.Rounds != cfg.Steps || res.Transcript != want.Transcript {
+		t.Fatalf("fixture job: state %s (%s), %d of %d rounds, transcript:\n%s\nwant:\n%s",
+			res.State, res.Error, res.Rounds, cfg.Steps, res.Transcript, want.Transcript)
+	}
+	if n := s.resumedJobs.Value(); n != 1 {
+		t.Fatalf("resumed %d jobs, want the fixture's 1", n)
 	}
 }

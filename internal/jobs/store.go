@@ -153,7 +153,10 @@ type restoredJob struct {
 // job directory whose spec.json is missing or undecodable is skipped
 // with an error in the returned list of notes — the server starts
 // anyway, because refusing to serve every healthy job over one damaged
-// directory would turn a partial fault into a total outage.
+// directory would turn a partial fault into a total outage. A job whose
+// spec the current Spec.Validate rejects is noted too, and recovers
+// terminal: with its stored result if it has one, else failed with the
+// reason, so it is never queued.
 func (st *store) scan() (jobs []restoredJob, notes []string, err error) {
 	entries, err := os.ReadDir(filepath.Join(st.dir, "jobs"))
 	if err != nil {
@@ -175,9 +178,9 @@ func (st *store) scan() (jobs []restoredJob, notes []string, err error) {
 			notes = append(notes, fmt.Sprintf("job %s: corrupt spec: %v", id, err))
 			continue
 		}
-		if err := rec.Spec.Validate(); err != nil {
-			notes = append(notes, fmt.Sprintf("job %s: invalid spec: %v", id, err))
-			continue
+		invalid := rec.Spec.Validate()
+		if invalid != nil {
+			notes = append(notes, fmt.Sprintf("job %s: invalid spec: %v", id, invalid))
 		}
 		res, err := st.readResult(id)
 		if err != nil {
@@ -186,6 +189,11 @@ func (st *store) scan() (jobs []restoredJob, notes []string, err error) {
 			// recompute rather than serving damaged output.
 			notes = append(notes, fmt.Sprintf("job %s: %v (re-running)", id, err))
 			res = nil
+		}
+		if invalid != nil && res == nil {
+			// A spec accepted before a bound existed is never run, but
+			// its client still gets the reason, not a 404.
+			res = &Result{ID: id, Kind: rec.Spec.Kind, State: StateFailed, Error: "invalid spec: " + invalid.Error()}
 		}
 		jobs = append(jobs, restoredJob{id: id, rec: rec, result: res})
 	}

@@ -1,6 +1,7 @@
 // Tests for the traffic-hardening layer: per-client rate limiting,
-// admission depth caps, priority-ordered fleet grants, list pagination,
-// and the bus-backed SSE fan-out under load.
+// admission depth caps, priority-ordered fleet grants, fair dispatch
+// under a burst, list pagination, and the bus-backed SSE fan-out under
+// load.
 
 package jobs
 
@@ -15,19 +16,22 @@ import (
 	"testing"
 	"time"
 
+	"aft/internal/jobs/sched"
 	"aft/internal/pubsub"
 )
 
-// submitJSON renders a distinct scenario-job spec (seed keys the
+// taggedScenario is a distinct scenario-job spec (seed keys the
 // content address) tagged with a client and priority.
-func submitJSON(t *testing.T, seed uint64, client, priority string) string {
-	t.Helper()
+func taggedScenario(seed uint64, client, priority string) Spec {
 	sc := tinyScenario()
 	sc.Seed = seed
-	b, err := json.Marshal(Spec{
-		Kind: KindScenario, Client: client, Priority: priority,
-		Scenario: &ScenarioSpec{Spec: sc},
-	})
+	return Spec{Kind: KindScenario, Client: client, Priority: priority, Scenario: &ScenarioSpec{Spec: sc}}
+}
+
+// submitJSON renders taggedScenario as a POST /jobs body.
+func submitJSON(t *testing.T, seed uint64, client, priority string) string {
+	t.Helper()
+	b, err := json.Marshal(taggedScenario(seed, client, priority))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,5 +407,59 @@ func TestFIFOSchedulerDispatchOrder(t *testing.T) {
 		if g.Job != wantID {
 			t.Fatalf("fifo grant %d = %s, want %s", i, g.Job, wantID)
 		}
+	}
+}
+
+// TestFairSchedulerServesTrickleAheadOfBurst pins the fairness the
+// scheduler exists for as a dispatch count, not a wall-clock latency:
+// 8 clients queue a 200-job burst, priorities cycling high, normal,
+// low, and then a ninth client queues one normal-priority job. Under
+// fair, that job is granted within the scheduler's starvation bound —
+// cycle weight × normal-class clients × depth 1 = 63 grants — so at
+// most 62 burst jobs go first; under fifo, the whole burst does.
+func TestFairSchedulerServesTrickleAheadOfBurst(t *testing.T) {
+	const burst, clients = 200, 8
+	cycle := 0
+	for _, c := range []sched.Class{sched.ClassHigh, sched.ClassNormal, sched.ClassLow} {
+		cycle += sched.Weight(c)
+	}
+	bound := cycle * (clients + 1)
+	priorities := []string{"high", "normal", "low"}
+	for _, mode := range []string{"fair", "fifo"} {
+		t.Run(mode, func(t *testing.T) {
+			// No holders run the jobs, and no lease expires mid-test to
+			// requeue a burst job ahead of the trickle job.
+			s := newTestServer(t, Options{DisableLocalPool: true, Scheduler: mode, LeaseTTL: time.Hour})
+			if err := s.WaitReady(waitCtx(t)); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < burst; i++ {
+				if _, _, err := s.Submit(taggedScenario(1000+uint64(i), fmt.Sprintf("burst-%d", i%clients), priorities[i%len(priorities)])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			trickle, _, err := s.Submit(taggedScenario(1, "trickle", "normal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ahead := 0
+			for {
+				g, err := s.Lease(waitCtx(t), "w1")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.Job == trickle.ID {
+					break
+				}
+				ahead++
+			}
+			t.Logf("%s: %d burst jobs granted ahead of the trickle job", mode, ahead)
+			switch {
+			case mode == "fair" && ahead >= bound:
+				t.Fatalf("fair: %d burst jobs granted ahead of the trickle job, want fewer than the starvation bound %d", ahead, bound)
+			case mode == "fifo" && ahead != burst:
+				t.Fatalf("fifo: %d burst jobs granted ahead of the trickle job, want all %d", ahead, burst)
+			}
+		})
 	}
 }

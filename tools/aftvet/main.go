@@ -98,10 +98,8 @@ var persistencePackages = []string{
 	"internal/checkpoint",
 	"internal/experiments",
 	"internal/jobs",
-	"internal/scenario",
 	"cmd/aft-bench",
 	"cmd/aft-serve",
-	"cmd/aft-sim",
 }
 
 // libraryPackages cover the root package and everything under
