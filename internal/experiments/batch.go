@@ -13,15 +13,20 @@
 //
 // Run takes each lane through the whole window before the next; lanes
 // share no state, so the result is the one lockstep stepping gives. A
-// lane in background mode takes its quiet rounds in bulk: the
-// background draw of every round is still made, on the lane's storm
-// PRNG held in registers (xrand.Rand.Misses, whose hit test is an
-// integer compare on the raw draw), but the counters advance once per
-// run of quiet rounds. A round the bulk step cannot account for — a
-// hit, a storm onset, a sample-grid round, the end of a quiet streak —
-// takes the per-round path. A quiet round thus costs one draw and a
-// compare, and the width of the batch does not change the per-lane
-// cost.
+// lane takes its rounds in bulk wherever no outcome can change the
+// organ: the quiet rounds of the background, and whole storm levels
+// whose corrupt rounds keep golden's strict majority without reaching
+// the critical dtof (or reach it with the controller already at Max).
+// The draw of every round is still made, on the lane's storm PRNG held
+// in registers (xrand.Rand.Misses, whose hit test is an integer compare
+// on the raw draw), and a storm hit still draws its corrupt values, but
+// the counters advance once per run. The per-round path takes only
+// what bulk cannot: a storm's onset round (which draws its shape) and
+// end round, a hit that raises or loses golden's majority, the round
+// whose quiet streak reaches LowerAfter above Policy.Min, every round
+// of an organ whose quiet rounds are critical, sample-grid rounds, and
+// recorded rounds. A bulk round thus costs a draw and a compare, and
+// the width of the batch does not change the per-lane cost.
 //
 // A round on the per-round path costs what its outcome needs. While
 // golden keeps a strict majority the outcome is a function of the organ
@@ -102,21 +107,20 @@ type BatchCampaign struct {
 	stormRng []xrand.Rand // storm-generator PRNG words, flat
 	crng     []xrand.Rand // corruption-value PRNG words, flat
 
-	nCtrl []int32 // controller target dimensioning
-	nFarm []int32 // organ dimensioning actually in force
+	nCtrl []int   // controller target dimensioning
+	nFarm []int   // organ dimensioning actually in force
 	quiet []int64 // consecutive full-consensus streak
 
-	raises, lowers     []int64 // controller decision counters
-	lastNonce          []uint64
-	resizes, rejected  []int64
-	farmRounds         []int64
-	farmFailures       []int64
-	failures           []int64
-	replicaRounds      []int64
-	occ                []int64 // occupancy rows, stride slots per lane
-	stride             int
-	red, dtof          []*metrics.Series // nil unless cfg.SampleEvery > 0
-	maxLanePolicyWidth int
+	raises, lowers    []int64 // controller decision counters
+	lastNonce         []uint64
+	resizes, rejected []int64
+	farmRounds        []int64
+	farmFailures      []int64
+	failures          []int64
+	replicaRounds     []int64
+	occ               []int64 // occupancy rows, stride slots per lane
+	stride            int
+	red, dtof         []*metrics.Series // nil unless cfg.SampleEvery > 0
 
 	// signer signs and verifies every lane's resizes under campaignKey.
 	signer *redundancy.ResizeSigner
@@ -130,6 +134,20 @@ type BatchCampaign struct {
 	// off by default to keep the hot loop free of the stores.
 	record bool
 	last   []voting.Outcome
+
+	// work counts what the kernel did, over every lane, for the kernel
+	// work golden. It is in no snapshot and no output.
+	work kernelWork
+}
+
+// kernelWork counts the kernel's units of work. Each counter moves once
+// per run or once per round on the per-round path, never per bulk round.
+type kernelWork struct {
+	perRound  int64 // rounds on the per-round path (laneRound)
+	tallies   int64 // voting.TallyWords calls
+	quietRuns int64 // bulk runs in the background
+	stormRuns int64 // bulk runs inside a storm level
+	resizes   int64 // resize messages signed and verified
 }
 
 // NewBatchCampaign builds a batch with one lane per seed, all lanes
@@ -172,8 +190,8 @@ func NewBatchCampaignLanes(cfg AdaptiveRunConfig, lanes []BatchLane) (*BatchCamp
 		storms:        make([]storms, w),
 		stormRng:      make([]xrand.Rand, w),
 		crng:          make([]xrand.Rand, w),
-		nCtrl:         make([]int32, w),
-		nFarm:         make([]int32, w),
+		nCtrl:         make([]int, w),
+		nFarm:         make([]int, w),
 		quiet:         make([]int64, w),
 		raises:        make([]int64, w),
 		lowers:        make([]int64, w),
@@ -210,8 +228,8 @@ func NewBatchCampaignLanes(cfg AdaptiveRunConfig, lanes []BatchLane) (*BatchCamp
 		b.storms[i] = *env
 		b.storms[i].rng = &b.stormRng[i]
 		b.crng[i] = *root.Split()
-		b.nCtrl[i] = int32(b.lanes[i].Policy.Min)
-		b.nFarm[i] = int32(b.lanes[i].Policy.Min)
+		b.nCtrl[i] = b.lanes[i].Policy.Min
+		b.nFarm[i] = b.lanes[i].Policy.Min
 	}
 	return b, nil
 }
@@ -269,67 +287,131 @@ func (b *BatchCampaign) Run(n int64) {
 
 // runLane steps lane l through rounds [step, end).
 //
-// A lane in background mode (no storm in progress, none due) takes its
-// quiet rounds in bulk: xrand.Rand.Misses draws the lane's
-// Bool(Background) for each round, exactly the draw corruptions() takes,
-// and the counters advance once per run of quiet rounds instead of once
-// per round. A run stops before any round the bulk step cannot account
-// for — a storm onset, a sample-grid round, the round whose streak
-// reaches LowerAfter, the window's end — and those rounds, like a hit
-// (k = 1, already drawn), take the per-round path.
+// A round of the background (no storm in progress, none due) or of a
+// storm level (past the onset round, which draws the storm's shape) is
+// one Bool(p) draw, exactly the draw corruptions() takes, that corrupts
+// k replicas on a hit and mutates nothing else in the generator. Such
+// rounds go to bulkRun up to stop, where that stops holding: the next
+// onset, or the level's end (stormEnd at the last level). A round
+// quietLimit or bulkRun cannot take — a sample-grid round, a recorded
+// round, the round whose streak would lower the organ, a hit that
+// raises or loses golden's majority (already drawn) — takes the
+// per-round path, and so do the onset round and the round a storm ends.
 func (b *BatchCampaign) runLane(l int, step, end int64) {
 	st := &b.storms[l]
 	for step < end {
-		var k int
-		if !st.inStorm && (st.nextOnset < 0 || step < st.nextOnset) {
-			// Background mode: corruptions() would draw exactly one
-			// Bool(Background) and mutate nothing else.
-			if limit := b.quietLimit(l, step, end); limit > 0 {
-				quiet, hit := st.rng.Misses(st.cfg.Background, limit)
-				n := b.nFarm[l]
-				b.farmRounds[l] += quiet
-				b.replicaRounds[l] += quiet * int64(n)
-				b.occ[l*b.stride+int(n)] += quiet
-				b.quiet[l] += quiet
-				step += quiet
-				if !hit {
-					continue
-				}
-				k = 1
-			} else if st.rng.Bool(st.cfg.Background) {
-				k = 1
+		p, k, stop := st.cfg.Background, 1, st.nextOnset
+		storm := st.inStorm && step > st.onset && step < st.stormEnd
+		if storm {
+			level := (step - st.onset) / st.level
+			p, k = st.cfg.StormP, min(int(level)+1, st.peak)
+			stop = min(st.onset+(level+1)*st.level, st.stormEnd)
+		} else if st.inStorm || (stop >= 0 && step >= stop) {
+			b.laneRound(l, step, st.corruptions(step))
+			step++
+			continue
+		}
+		if limit := b.quietLimit(l, step, end, stop); limit > 0 {
+			var hit bool
+			if step, hit = b.bulkRun(l, step, step+limit, p, k, storm); !hit {
+				continue
 			}
-		} else {
-			k = st.corruptions(step)
+		} else if !st.rng.Bool(p) {
+			k = 0
 		}
 		b.laneRound(l, step, k)
 		step++
 	}
 }
 
-// quietLimit is how many rounds from step lane l may take in bulk if
-// they stay quiet: none unless a quiet round is the policy's plain
-// "streak + 1" (dtof above critical, no outcome capture), and never
-// past the window's end, the next storm onset, the next sample-grid
-// round, or the round whose streak reaches LowerAfter.
-func (b *BatchCampaign) quietLimit(l int, step, end int64) int64 {
+// quietLimit is how many rounds from step lane l may take in bulk. It
+// is 0, and the round takes the per-round path, when outcomes are
+// recorded, when a quiet round is critical (MaxDTOF(n) ≤
+// CriticalDTOF), on a sample-grid round, and when a quiet round would
+// bring the streak to LowerAfter with the controller above Policy.Min
+// (at Min, Decide only wraps the streak, so a run may cross that
+// round). Otherwise it reaches the window's end, stop (when not
+// negative) or the next sample-grid round, whichever comes first;
+// bulkRun keeps the streak below LowerAfter inside the run.
+func (b *BatchCampaign) quietLimit(l int, step, end, stop int64) int64 {
 	p := &b.lanes[l].Policy
-	if b.record || voting.MaxDTOF(int(b.nFarm[l])) <= p.CriticalDTOF {
+	if b.record || voting.MaxDTOF(b.nFarm[l]) <= p.CriticalDTOF ||
+		(b.nCtrl[l] > p.Min && b.quiet[l] >= int64(p.LowerAfter)-1) {
 		return 0
 	}
 	limit := end - step
-	if on := b.storms[l].nextOnset; on >= 0 && on-step < limit {
-		limit = on - step
+	if stop >= 0 && stop-step < limit {
+		limit = stop - step
 	}
 	if b.red != nil {
 		if d := (b.cfg.SampleEvery - step%b.cfg.SampleEvery) % b.cfg.SampleEvery; d < limit {
 			limit = d
 		}
 	}
-	if d := int64(p.LowerAfter) - 1 - b.quiet[l]; d < limit {
-		limit = d
-	}
 	return limit
+}
+
+// bulkRun takes lane l's rounds from step toward stop in bulk, each a
+// Bool(p) draw that corrupts k replicas on a hit; quietLimit has
+// checked that they may be quiet and that the first one may. A hit is
+// absorbed when its outcome cannot change the organ: with kk =
+// min(k, n), golden keeps a strict majority, and its dtof is above
+// critical or the controller is already at Max, so Decide only resets
+// the streak. The hit still draws its kk corrupt values, in order, to
+// keep the corruption stream in step. A quiet round only adds to the
+// streak, which must stay below LowerAfter except at Policy.Min, where
+// Decide wraps it to 0: there the streak ends at (q + r) mod
+// LowerAfter. The counters advance once for the whole run. bulkRun
+// returns the round it stopped at and whether that round is a hit it
+// did not absorb, which the caller runs on the per-round path.
+func (b *BatchCampaign) bulkRun(l int, step, stop int64, p float64, k int, storm bool) (int64, bool) {
+	if storm {
+		b.work.stormRuns++
+	} else {
+		b.work.quietRuns++
+	}
+	pol := &b.lanes[l].Policy
+	n := b.nFarm[l]
+	kk := min(k, n)
+	absorb := n-kk > n/2 && (voting.DTOF(n, kk) > pol.CriticalDTOF || b.nCtrl[l] >= pol.Max)
+	wrap := b.nCtrl[l] <= pol.Min
+	rng, crng := b.storms[l].rng, &b.crng[l]
+	from, quiet, hit := step, b.quiet[l], false
+	for step < stop {
+		limit := stop - step
+		if !wrap {
+			room := int64(pol.LowerAfter) - 1 - quiet
+			if room <= 0 {
+				break
+			}
+			limit = min(limit, room)
+		}
+		var misses int64
+		misses, hit = rng.Misses(p, limit)
+		step += misses
+		quiet += misses
+		if !hit {
+			continue
+		}
+		if !absorb {
+			break
+		}
+		golden := identity(uint64(step))
+		for range kk {
+			voting.CorruptValue(golden, crng)
+		}
+		hit, quiet = false, 0
+		step++
+	}
+	if wrap {
+		quiet %= int64(pol.LowerAfter)
+	}
+	rounds := step - from
+	b.farmRounds[l] += rounds
+	b.replicaRounds[l] += rounds * int64(n)
+	b.occ[l*b.stride+n] += rounds
+	b.quiet[l] = quiet
+	return step, hit
 }
 
 // laneRound runs round step of lane l with k replicas corrupted (k is
@@ -341,9 +423,10 @@ func (b *BatchCampaign) quietLimit(l int, step, end int64) int64 {
 // unused; only a round where golden lacks a strict majority packs its
 // ballots and tallies them.
 func (b *BatchCampaign) laneRound(l int, step int64, k int) {
+	b.work.perRound++
 	golden := identity(uint64(step))
 	sample := b.red != nil && step%b.cfg.SampleEvery == 0
-	n := int(b.nFarm[l])
+	n := b.nFarm[l]
 	k = min(k, n)
 	crng := &b.crng[l]
 	for i := 0; i < k; i++ {
@@ -356,6 +439,7 @@ func (b *BatchCampaign) laneRound(l int, step int64, k int) {
 			Dissent: k, DTOF: voting.DTOF(n, k), Correct: true,
 		}
 	} else {
+		b.work.tallies++
 		voting.SetFirstK(b.words, k)
 		o = voting.TallyWords(n, golden, b.words, b.vals[:k], b.ballots)
 		if o.Failed() {
@@ -377,10 +461,10 @@ func (b *BatchCampaign) finishRound(l int, step int64, sample bool, o voting.Out
 		b.red[l].Append(step, float64(o.N))
 		b.dtof[l].Append(step, float64(o.DTOF))
 	}
-	newN, newQuiet, dir := b.lanes[l].Policy.Decide(int(b.nCtrl[l]), int(b.quiet[l]), o.DTOF, o.Dissent)
+	newN, newQuiet, dir := b.lanes[l].Policy.Decide(b.nCtrl[l], int(b.quiet[l]), o.DTOF, o.Dissent)
 	b.quiet[l] = int64(newQuiet)
 	if dir != 0 {
-		b.nCtrl[l] = int32(newN)
+		b.nCtrl[l] = newN
 		switch dir {
 		case redundancy.Raise:
 			b.raises[l]++
@@ -402,6 +486,7 @@ func (b *BatchCampaign) finishRound(l int, step int64, sample bool, o voting.Out
 // it, so a lane restored near the end of the nonce space stays in
 // lockstep with its scalar twin.
 func (b *BatchCampaign) applyResize(l, newN int, dir redundancy.Direction) {
+	b.work.resizes++
 	nonce := b.lastNonce[l] + 1
 	req := b.signer.Sign(newN, dir, nonce)
 	if err := b.signer.Verify(req); err != nil {
@@ -416,7 +501,7 @@ func (b *BatchCampaign) applyResize(l, newN int, dir redundancy.Direction) {
 	}
 	b.lastNonce[l] = nonce
 	b.resizes[l]++
-	b.nFarm[l] = int32(newN)
+	b.nFarm[l] = newN
 }
 
 // RunAll steps the batch through every remaining configured round.
@@ -473,13 +558,13 @@ func (b *BatchCampaign) LaneSnapshot(lane int) (*checkpoint.Snapshot, error) {
 		occupancy:     make(map[int]int64),
 		sb: redundancy.SwitchboardState{
 			Controller: redundancy.ControllerState{
-				N:      int(b.nCtrl[lane]),
+				N:      b.nCtrl[lane],
 				Quiet:  int(b.quiet[lane]),
 				Raises: b.raises[lane],
 				Lowers: b.lowers[lane],
 			},
 			Farm: voting.FarmState{
-				Replicas: int(b.nFarm[lane]),
+				Replicas: b.nFarm[lane],
 				Rounds:   b.farmRounds[lane],
 				Failures: b.farmFailures[lane],
 			},
@@ -557,8 +642,8 @@ func RestoreBatchCampaign(snaps []*checkpoint.Snapshot) (*BatchCampaign, error) 
 		if err := b.crng[i].SetState(st.crng); err != nil {
 			return nil, fmt.Errorf("experiments: lane %d: %w", i, err)
 		}
-		b.nCtrl[i] = int32(st.sb.Controller.N)
-		b.nFarm[i] = int32(st.sb.Farm.Replicas)
+		b.nCtrl[i] = st.sb.Controller.N
+		b.nFarm[i] = st.sb.Farm.Replicas
 		b.quiet[i] = int64(st.sb.Controller.Quiet)
 		b.raises[i] = st.sb.Controller.Raises
 		b.lowers[i] = st.sb.Controller.Lowers

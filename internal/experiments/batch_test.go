@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"aft/internal/checkpoint"
@@ -378,20 +381,25 @@ func decodedLane(snap *checkpoint.Snapshot, err error) (campaignState, error) {
 	return st, err
 }
 
-// TestBatchRunChunksMatchReference is the property test of Run's
-// quiet-run loop. A batch runs in seeded random chunks, some cut at
-// (or one round either side of) lane 0's next storm onset, sample-grid
-// round or LowerAfter round, the rest from 1 to 3 000 rounds. After
-// every chunk each lane's decoded state must equal a reference campaign
-// stepped to the same round: PRNG positions, counters, occupancy,
-// controller streak and series.
+// TestBatchRunChunksMatchReference is the property test of Run's bulk
+// runs. A batch runs in seeded random chunks, some cut at (or one round
+// either side of) a random lane's next storm onset, sample-grid round,
+// LowerAfter round, storm level end (onset + k·level) or stormEnd, the
+// rest from 1 to 3 000 rounds. After every chunk each lane's decoded
+// state must equal a reference campaign stepped to the same round: PRNG
+// positions, counters, occupancy, controller streak and series. Only
+// this state shows a skipped corrupt-value draw or a streak left
+// unwrapped at Policy.Min; the transcripts do not.
 //
-// The configurations cover every way a run of quiet rounds can end:
-// storm onsets, hits at several background rates (none, rare, frequent,
-// every round), the sampling grid, a LowerAfter of 1 (no quiet run ever
-// fits), and a policy critical at every dimensioning (the bulk path is
-// never taken). They also cover every kind of storm round: golden
-// keeping a strict majority (with and without a raise), golden losing
+// The configurations cover every way a bulk run can end: storm onsets
+// and level ends, hits at several background rates (none, rare,
+// frequent, every round), storm hits that raise and storm hits the run
+// absorbs, the sampling grid, a LowerAfter of 1 (no quiet run ever
+// fits) and one shorter than a storm level, and a policy critical at
+// every dimensioning (the bulk path is never taken). StormP 0 and 1 are
+// the two storm rates whose rounds draw nothing. They also cover every
+// kind of storm round: golden keeping a strict majority (with and
+// without a raise, and critical with the organ at Max), golden losing
 // it, and more corrupt replicas than the organ holds.
 func TestBatchRunChunksMatchReference(t *testing.T) {
 	def := redundancy.DefaultPolicy()
@@ -407,6 +415,9 @@ func TestBatchRunChunksMatchReference(t *testing.T) {
 	// A strict-majority storm round never raises this lane; only a lost
 	// majority does.
 	lax := redundancy.Policy{Min: 3, Max: 9, CriticalDTOF: 0, Step: 2, LowerAfter: 1000}
+	// Lowers inside a sparse storm, between its hits.
+	short := def
+	short.LowerAfter = 100
 	lanes := func(policies ...redundancy.Policy) []BatchLane {
 		seeds := xrand.Seeds(1906, len(policies))
 		out := make([]BatchLane, len(policies))
@@ -420,6 +431,10 @@ func TestBatchRunChunksMatchReference(t *testing.T) {
 	peak4 := fig7
 	peak4.Storms.PeakMin = 4
 	peak4.SampleEvery = 50 // the dtof series records rounds no lane raises on
+	sparse, p0, p1 := fig7, fig7, fig7
+	sparse.Storms.StormP = 0.02
+	p0.Storms.StormP = 0
+	p1.Storms.StormP = 1
 	for _, tc := range []struct {
 		name  string
 		cfg   AdaptiveRunConfig
@@ -427,7 +442,12 @@ func TestBatchRunChunksMatchReference(t *testing.T) {
 	}{
 		{"fig7", fig7, lanes(def, def, eager, critical)},
 		{"fig6", DefaultFig6Config(), lanes(def, eager, critical)},
-		{"storms-peak4", peak4, lanes(lax, pinned3, pinned5)},
+		// def sits at Max through level 4, where every corrupt round is
+		// critical.
+		{"storms-peak4", peak4, lanes(lax, pinned3, pinned5, def)},
+		{"storms-sparse", sparse, lanes(def, short)},
+		{"storm-p0", p0, lanes(def, eager)},
+		{"storm-p1", p1, lanes(def, lax, pinned3)},
 		{"background-0.3", AdaptiveRunConfig{Steps: 20_000, Policy: def, Storms: StormConfig{Background: 0.3}},
 			lanes(def, wide, eager)},
 		{"background-1", AdaptiveRunConfig{Steps: 5_000, Policy: def, Storms: StormConfig{Background: 1}},
@@ -453,14 +473,20 @@ func TestBatchRunChunksMatchReference(t *testing.T) {
 				case 0:
 					n = 1 + int64(rng.Intn(16))
 				case 1:
+					c := rng.Intn(len(tc.lanes))
+					st := &b.storms[c]
 					var to []int64
-					if on := b.storms[0].nextOnset; on > step {
-						to = append(to, on-step)
+					if st.nextOnset > step {
+						to = append(to, st.nextOnset-step)
+					}
+					if st.inStorm {
+						level := (step - st.onset) / st.level
+						to = append(to, st.onset+(level+1)*st.level-step, st.stormEnd-step)
 					}
 					if se > 0 {
 						to = append(to, se-step%se)
 					}
-					to = append(to, int64(tc.lanes[0].Policy.LowerAfter)-b.quiet[0])
+					to = append(to, int64(tc.lanes[c].Policy.LowerAfter)-b.quiet[c])
 					n = to[rng.Intn(len(to))] + int64(rng.Intn(3)) - 1
 				default:
 					n = 1 + int64(rng.Intn(3000))
@@ -484,6 +510,49 @@ func TestBatchRunChunksMatchReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// kernelWorkGolden pins the kernel's work counts; -update rewrites it.
+const kernelWorkGolden = "testdata/kernel-work.golden"
+
+// TestKernelWorkGolden pins what the kernel does for the paper's
+// campaigns at seed 1906: rounds on the per-round path, TallyWords
+// calls, bulk runs in the background and inside storm levels, and
+// resize messages. Counts are exact where times drift, so a kernel
+// change that sends more rounds down the per-round path fails here
+// even when every transcript stays the same.
+func TestKernelWorkGolden(t *testing.T) {
+	var got strings.Builder
+	got.WriteString("config per-round tallies quiet-runs storm-runs resizes\n")
+	for _, tc := range []struct {
+		name string
+		cfg  AdaptiveRunConfig
+	}{
+		{"fig6", DefaultFig6Config()},
+		{"fig7-500k", DefaultFig7Config(500_000)},
+		{"fig7-65M", DefaultFig7Config(0)},
+	} {
+		b, err := NewBatchCampaign(tc.cfg, []uint64{tc.cfg.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.RunAll()
+		w := b.work
+		fmt.Fprintf(&got, "%s %d %d %d %d %d\n", tc.name, w.perRound, w.tallies, w.quietRuns, w.stormRuns, w.resizes)
+	}
+	if *update {
+		if err := os.WriteFile(kernelWorkGolden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(kernelWorkGolden)
+	if err != nil {
+		t.Fatalf("missing kernel work golden (run with -update to create): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("kernel work counts changed:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 

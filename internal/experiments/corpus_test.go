@@ -9,16 +9,17 @@ import (
 	"aft/internal/checkpoint"
 )
 
-// -update rewrites the snapshot corpus. Workflow: change a corpus point
-// or the snapshot schema, run
+// -update rewrites the snapshot corpus and the kernel work golden.
+// Workflow: change a corpus point or the snapshot schema, run
 //
 //	go test ./internal/experiments -run TestSnapshotCorpus -update
 //
 // and review the diff of testdata/snapshots like any other code change.
 // Regenerating is for adding points: the committed snapshots were
 // written by the fused engine, and an engine that replaces it must
-// restore them as they are.
-var update = flag.Bool("update", false, "rewrite the snapshot corpus")
+// restore them as they are. TestKernelWorkGolden's counts change with
+// the kernel; CHANGES.md says why they moved.
+var update = flag.Bool("update", false, "rewrite the snapshot corpus and the kernel work golden")
 
 // corpusDir holds one NAME.aftckpt (an encoded snapshot) and one
 // NAME.golden (the transcript its campaign ends on) per corpus point.

@@ -252,8 +252,9 @@ type AdaptiveRunResult struct {
 // RunAdaptive executes the §3.3 autonomic loop for the configured number
 // of rounds on a one-lane batch (see batch.go): storm generation,
 // first-K corruption, voting, and resize delivery run over preallocated
-// state, quiet rounds are taken in bulk, and rounds off the sampling
-// grid perform zero heap allocations. Its result is field-identical to
+// state, quiet rounds and storm levels that cannot resize the organ
+// are taken in bulk, and rounds off the sampling grid perform zero heap
+// allocations. Its result is field-identical to
 // the fused Campaign's and the reference loop's for the same config.
 func RunAdaptive(cfg AdaptiveRunConfig) (AdaptiveRunResult, error) {
 	b, err := NewBatchCampaign(cfg, []uint64{cfg.Seed})
