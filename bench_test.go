@@ -427,10 +427,12 @@ func BenchmarkBatchStep(b *testing.B) {
 
 // BenchmarkBatchRun measures the batch kernel: Run over 100 000-round
 // chunks at the storm density of a 500k-round Fig. 7 campaign, at
-// several widths, reporting ns/lane-round. Run takes each lane through
-// the whole chunk before the next, so the per-lane cost should not
-// depend on the width. The chunks cross storms, raises and lowers, and
-// must report 0 allocs/op (also gated by TestBatchRunZeroAlloc).
+// several widths, reporting ns/lane-round. Run takes the lanes in
+// groups of four whose background runs at Policy.Min draw together
+// (xrand.Misses4), so on a CPU with AVX2 the per-lane cost at w16 and
+// w32 should be well below w1's, and the same at both. The chunks cross
+// storms, raises and lowers, and must report 0 allocs/op (also gated
+// by TestBatchRunZeroAlloc).
 func BenchmarkBatchRun(b *testing.B) {
 	const chunk = 100_000
 	for _, width := range []int{1, 16, 32} {
@@ -455,10 +457,10 @@ func BenchmarkBatchRun(b *testing.B) {
 }
 
 // BenchmarkBatchParallel measures SweepSeeds end to end — 32 Fig.
-// 7-style lanes of 100k rounds, one pool task each — at several worker
-// counts, reporting aggregate lane-rounds per second. On a multi-core
-// host the rounds/sec metric scales with cores on top of the batch
-// engine's single-core gain.
+// 7-style lanes of 100k rounds, in pool tasks of four lanes — at
+// several worker counts, reporting aggregate lane-rounds per second. On
+// a multi-core host the rounds/sec metric scales with cores on top of
+// the batch engine's single-core gain.
 func BenchmarkBatchParallel(b *testing.B) {
 	const lanes, steps = 32, 100_000
 	cfg := experiments.DefaultFig7Config(steps)

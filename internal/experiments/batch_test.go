@@ -400,7 +400,10 @@ func decodedLane(snap *checkpoint.Snapshot, err error) (campaignState, error) {
 // the two storm rates whose rounds draw nothing. They also cover every
 // kind of storm round: golden keeping a strict majority (with and
 // without a raise, and critical with the organ at Max), golden losing
-// it, and more corrupt replicas than the organ holds.
+// it, and more corrupt replicas than the organ holds. background-1e-3
+// runs seven lanes, so groups of four and of three, whose background
+// hits land inside four-wide scans: a hit that raises, one the organ
+// absorbs, and one lane's hit ending the others' scan.
 func TestBatchRunChunksMatchReference(t *testing.T) {
 	def := redundancy.DefaultPolicy()
 	eager := def
@@ -431,8 +434,9 @@ func TestBatchRunChunksMatchReference(t *testing.T) {
 	peak4 := fig7
 	peak4.Storms.PeakMin = 4
 	peak4.SampleEvery = 50 // the dtof series records rounds no lane raises on
-	sparse, p0, p1 := fig7, fig7, fig7
+	sparse, p0, p1, bg := fig7, fig7, fig7, fig7
 	sparse.Storms.StormP = 0.02
+	bg.Storms.Background = 1e-3
 	p0.Storms.StormP = 0
 	p1.Storms.StormP = 1
 	for _, tc := range []struct {
@@ -448,6 +452,9 @@ func TestBatchRunChunksMatchReference(t *testing.T) {
 		{"storms-sparse", sparse, lanes(def, short)},
 		{"storm-p0", p0, lanes(def, eager)},
 		{"storm-p1", p1, lanes(def, lax, pinned3)},
+		// At Min, wide absorbs a background hit and def and short raise
+		// on one; critical never parks.
+		{"background-1e-3", bg, lanes(def, wide, short, def, wide, eager, critical)},
 		{"background-0.3", AdaptiveRunConfig{Steps: 20_000, Policy: def, Storms: StormConfig{Background: 0.3}},
 			lanes(def, wide, eager)},
 		{"background-1", AdaptiveRunConfig{Steps: 5_000, Policy: def, Storms: StormConfig{Background: 1}},
@@ -518,28 +525,34 @@ const kernelWorkGolden = "testdata/kernel-work.golden"
 
 // TestKernelWorkGolden pins what the kernel does for the paper's
 // campaigns at seed 1906: rounds on the per-round path, TallyWords
-// calls, bulk runs in the background and inside storm levels, and
-// resize messages. Counts are exact where times drift, so a kernel
-// change that sends more rounds down the per-round path fails here
-// even when every transcript stays the same.
+// calls, bulk runs in the background and inside storm levels, resize
+// messages, and four-wide scans with the lane-rounds they took. Counts
+// are exact where times drift, so a kernel change that sends more
+// rounds down the per-round path, or scans fewer rounds four-wide,
+// fails here even when every transcript stays the same. The one-lane
+// rows run as RunAdaptive does; fig7-500k-w16 is a 16-lane batch over
+// xrand.Seeds(1906, 16), the shape of the benchmark's seed sweep.
 func TestKernelWorkGolden(t *testing.T) {
 	var got strings.Builder
-	got.WriteString("config per-round tallies quiet-runs storm-runs resizes\n")
+	got.WriteString("config per-round tallies quiet-runs storm-runs resizes scans scan-rounds\n")
 	for _, tc := range []struct {
-		name string
-		cfg  AdaptiveRunConfig
+		name  string
+		cfg   AdaptiveRunConfig
+		seeds []uint64
 	}{
-		{"fig6", DefaultFig6Config()},
-		{"fig7-500k", DefaultFig7Config(500_000)},
-		{"fig7-65M", DefaultFig7Config(0)},
+		{"fig6", DefaultFig6Config(), []uint64{1906}},
+		{"fig7-500k", DefaultFig7Config(500_000), []uint64{1906}},
+		{"fig7-65M", DefaultFig7Config(0), []uint64{1906}},
+		{"fig7-500k-w16", DefaultFig7Config(500_000), xrand.Seeds(1906, 16)},
 	} {
-		b, err := NewBatchCampaign(tc.cfg, []uint64{tc.cfg.Seed})
+		b, err := NewBatchCampaign(tc.cfg, tc.seeds)
 		if err != nil {
 			t.Fatal(err)
 		}
 		b.RunAll()
 		w := b.work
-		fmt.Fprintf(&got, "%s %d %d %d %d %d\n", tc.name, w.perRound, w.tallies, w.quietRuns, w.stormRuns, w.resizes)
+		fmt.Fprintf(&got, "%s %d %d %d %d %d %d %d\n", tc.name,
+			w.perRound, w.tallies, w.quietRuns, w.stormRuns, w.resizes, w.scans, w.scanRounds)
 	}
 	if *update {
 		if err := os.WriteFile(kernelWorkGolden, []byte(got.String()), 0o644); err != nil {

@@ -49,23 +49,28 @@ func TestEngineMatchesReferenceFig7(t *testing.T) {
 
 // TestEngineSweepParallelSerialReferenceIdentical closes the triangle:
 // the parallel sweep, the serial sweep, and the reference loop must all
-// render the same per-replica Fig. 7 transcripts.
+// render the same per-replica Fig. 7 transcripts. Nine replicas run on
+// two workers as pool tasks of four, four and one lane, and on four
+// workers as three tasks of three, so lanes share four-wide scans
+// while other tasks run beside them.
 func TestEngineSweepParallelSerialReferenceIdentical(t *testing.T) {
 	cfg := DefaultFig7Config(60_000)
-	const replicas = 4
+	const replicas = 9
 	serial, err := SweepReplicas(cfg, replicas, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SweepReplicas(cfg, replicas, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		a := RenderFig7(serial[i], cfg.Policy.Min)
-		b := RenderFig7(par[i], cfg.Policy.Min)
-		if a != b {
-			t.Fatalf("replica %d: parallel sweep diverged from serial", i)
+	for _, workers := range []int{2, 4} {
+		par, err := SweepReplicas(cfg, replicas, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range serial {
+			a := RenderFig7(serial[i], cfg.Policy.Min)
+			b := RenderFig7(par[i], cfg.Policy.Min)
+			if a != b {
+				t.Fatalf("workers=%d: replica %d: parallel sweep diverged from serial", workers, i)
+			}
 		}
 	}
 	// Reference loop per derived seed (the same derivation SweepReplicas

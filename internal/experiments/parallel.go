@@ -91,9 +91,10 @@ func RunParallel[T any](n, workers int, task func(i int) (T, error)) ([]T, error
 
 // SweepSeeds runs the same adaptive configuration once per seed — the
 // independent-replica dimension of a Fig. 7-style campaign — on the
-// batch engine, one lane per pool task. Result i always corresponds to
-// seeds[i] and is identical to RunAdaptive with that seed, for every
-// worker count.
+// batch engine, in pool tasks of up to four lanes (one group of four
+// per task once there are four lanes per worker). Result i always
+// corresponds to seeds[i] and is identical to RunAdaptive with that
+// seed, for every worker count.
 func SweepSeeds(cfg AdaptiveRunConfig, seeds []uint64, workers int) ([]AdaptiveRunResult, error) {
 	lanes := make([]BatchLane, len(seeds))
 	for i, s := range seeds {

@@ -148,6 +148,21 @@ func TestSweepReplicasDeterministic(t *testing.T) {
 	}
 }
 
+// TestLanesPerTask pins how runLanesParallel cuts a sweep into pool
+// tasks: groups of four once there are four lanes per worker, an even
+// share per worker below that, and one lane per task when there are no
+// more lanes than workers.
+func TestLanesPerTask(t *testing.T) {
+	for _, c := range []struct{ lanes, workers, want int }{
+		{0, 2, 1}, {1, 1, 1}, {2, 4, 1}, {4, 4, 1}, {4, 2, 2}, {5, 4, 2},
+		{5, 2, 3}, {4, 1, 4}, {9, 2, 4}, {32, 2, 4}, {32, 16, 2},
+	} {
+		if got := lanesPerTask(c.lanes, c.workers); got != c.want {
+			t.Errorf("lanesPerTask(%d lanes, %d workers) = %d, want %d", c.lanes, c.workers, got, c.want)
+		}
+	}
+}
+
 func TestWorkers(t *testing.T) {
 	if Workers(-1) < 1 || Workers(0) < 1 {
 		t.Fatal("Workers must default to at least one worker")

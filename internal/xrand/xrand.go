@@ -177,26 +177,18 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Misses draws Bool(p) until it returns true or n draws have been
-// made, and reports how many draws returned false and whether a true
-// ended the run. The stream advances exactly as that many Bool(p) calls
-// would: not at all when p <= 0 (every draw is false) or p >= 1 (the
-// first draw is true), one Uint64 per draw otherwise.
+// Misses draws until a draw falls below thresh or n draws have been
+// made, and reports how many draws did not and whether one did. With
+// thresh = HitThreshold(p), a draw falls below it exactly when Bool(p)
+// would return true, so the stream advances as that many Bool(p) calls
+// would: one Uint64 per draw. Bool draws nothing when p <= 0 or p >= 1,
+// so there the caller answers without calling Misses (n misses, or a
+// hit at once).
 //
 // It is Bool in a loop with the state words held in locals and the hit
-// test done on the raw draw (see hitThreshold), so a long run of misses
-// costs a few register operations per draw.
-func (r *Rand) Misses(p float64, n int64) (misses int64, hit bool) {
-	if n <= 0 {
-		return 0, false
-	}
-	if p <= 0 {
-		return n, false
-	}
-	if p >= 1 {
-		return 0, true
-	}
-	thresh := hitThreshold(p)
+// test done on the raw draw, so a long run of misses costs a few
+// register operations per draw.
+func (r *Rand) Misses(thresh uint64, n int64) (misses int64, hit bool) {
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	for ; misses < n; misses++ {
 		// The Uint64 transition, on the locals.
@@ -217,13 +209,15 @@ func (r *Rand) Misses(p float64, n int64) (misses int64, hit bool) {
 	return misses, hit
 }
 
-// hitThreshold returns the integer t with u < t exactly when draw u,
-// read as Float64 reads it, falls below p, for 0 < p < 1. Float64 is
+// HitThreshold returns the integer t with u < t exactly when draw u,
+// read as Float64 reads it, falls below p, for 0 < p < 1: the hit test
+// of Misses and Misses4, computed once per probability. Float64 is
 // (u>>11)/2^53, so the test is u>>11 < p·2^53; the scaling is exact,
 // and u>>11 is an integer, so that holds exactly when u>>11 <
 // ⌈p·2^53⌉, that is when u < ⌈p·2^53⌉·2^11. p < 1 keeps ⌈p·2^53⌉ at
-// most 2^53−1, so the shift cannot overflow.
-func hitThreshold(p float64) uint64 { return uint64(math.Ceil(p*(1<<53))) << 11 }
+// most 2^53−1, so the shift cannot overflow. Outside (0, 1) the result
+// means nothing.
+func HitThreshold(p float64) uint64 { return uint64(math.Ceil(p*(1<<53))) << 11 }
 
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {

@@ -286,7 +286,8 @@ func TestSeedsDeterministicAndDistinct(t *testing.T) {
 // missesEdgeP are the probabilities at which Misses's integer hit test
 // is most likely to part from Bool's: the extremes of the open interval
 // (0, 1), the point where p·2^53 is 1, the Fig. 7 background rate, and
-// the values Misses answers without drawing.
+// the values at which Bool draws nothing, so callers answer without
+// calling Misses.
 var missesEdgeP = []float64{
 	math.SmallestNonzeroFloat64,
 	0x1p-53,
@@ -296,9 +297,12 @@ var missesEdgeP = []float64{
 	0, -1, 1, 2,
 }
 
-// TestMissesMatchesBool runs Misses and a plain Bool(p) loop on twin
-// generators over random run lengths: both must report the same run,
-// and leave the stream at the same state, after every call.
+// TestMissesMatchesBool runs Misses at HitThreshold(p) and a plain
+// Bool(p) loop on twin generators over random run lengths: both must
+// report the same run, and leave the stream at the same state, after
+// every call. At p <= 0 and p >= 1 the Misses side answers as callers
+// do, without drawing (n misses, or a hit at once), so there the
+// Bool loop must draw nothing either.
 func TestMissesMatchesBool(t *testing.T) {
 	ps := append([]float64{0.3, 0.9, 0.01}, missesEdgeP...)
 	lengths := New(11)
@@ -306,7 +310,16 @@ func TestMissesMatchesBool(t *testing.T) {
 		a, b := New(1906), New(1906)
 		for call := 0; call < 200; call++ {
 			n := int64(lengths.Intn(5000))
-			misses, hit := a.Misses(p, n)
+			var misses int64
+			var hit bool
+			switch {
+			case p <= 0:
+				misses = n
+			case p >= 1:
+				hit = n > 0
+			default:
+				misses, hit = a.Misses(HitThreshold(p), n)
+			}
 			var want int64
 			var wantHit bool
 			for ; want < n; want++ {
@@ -326,17 +339,17 @@ func TestMissesMatchesBool(t *testing.T) {
 }
 
 // TestBelowMatchesFloat64Compare checks Misses's integer hit test draw
-// by draw against Bool's Float64() < p: one-draw Misses calls on the
-// draws at, one below and one above hitThreshold(p), and on random
-// draws.
+// by draw against Bool's Float64() < p: one-draw Misses calls at
+// HitThreshold(p) on the draws at, one below and one above the
+// threshold, and on random draws.
 func TestBelowMatchesFloat64Compare(t *testing.T) {
 	r := New(7)
 	ps := append([]float64{0.3, 0.999}, missesEdgeP...)
 	for _, p := range ps {
 		if p <= 0 || p >= 1 {
-			continue // Misses answers these without drawing
+			continue // Bool draws nothing here, and callers skip Misses
 		}
-		thresh := hitThreshold(p)
+		thresh := HitThreshold(p)
 		draws := []uint64{thresh - 1, thresh, thresh + 1}
 		for i := 0; i < 10_000; i++ {
 			draws = append(draws, r.Uint64())
@@ -346,7 +359,7 @@ func TestBelowMatchesFloat64Compare(t *testing.T) {
 				t.Fatalf("drawing(%#x) draws %#x", u, got)
 			}
 			want := drawing(u).Float64() < p
-			if _, got := drawing(u).Misses(p, 1); got != want {
+			if _, got := drawing(u).Misses(thresh, 1); got != want {
 				t.Fatalf("p=%g u=%#x thresh=%#x: Misses hit %v, Float64 compare %v", p, u, thresh, got, want)
 			}
 		}
