@@ -2,8 +2,11 @@
 // scenarios of internal/scenario outside `go test`: it executes a
 // builtin scenario (or a JSON spec file) from a seed, prints the
 // canonical event transcript, evaluates the run-time invariants, and
-// can replay the organ track differentially through both the fused
-// campaign engine and the pre-engine reference loop.
+// can replay the organ track differentially on the switchboard's two
+// faulty-round paths: the fused engine's reusable ballot buffer
+// (StepFaulty) and the reference loop's heap ballots (StepFaultyRef).
+// The -diff line keeps calling them the fused engine and the reference
+// loop.
 //
 // Exit status: non-zero when -invariants finds a violation (the message
 // names the invariant and the simulated time), when -diff detects an
@@ -53,7 +56,7 @@ func run(args []string, stdout io.Writer) error {
 	name := fs.String("scenario", "storm-replay", "builtin scenario name or path to a JSON spec file")
 	seed := fs.Uint64("seed", 0, "seed override (0 = the spec's default)")
 	invariants := fs.Bool("invariants", false, "evaluate invariants and exit non-zero on any violation")
-	diff := fs.Bool("diff", false, "differentially replay the organ track on the fused engine and the reference loop")
+	diff := fs.Bool("diff", false, "differentially replay the organ track on the switchboard's fused and reference paths")
 	quiet := fs.Bool("quiet", false, "suppress the event transcript, print only the summary lines")
 	printSpec := fs.Bool("print-spec", false, "print the scenario spec as JSON (the -scenario file format) and exit")
 	sabotage := fs.String("sabotage", "", "test-only: deliberately violate the named invariant mid-run")

@@ -9,8 +9,6 @@ import (
 	"aft/internal/faults"
 	"aft/internal/ftpatterns"
 	"aft/internal/redundancy"
-	"aft/internal/voting"
-	"aft/internal/xrand"
 )
 
 // --- E5/E6: static versus adaptive fault-tolerance patterns -----------
@@ -282,8 +280,9 @@ var e8FixedSizes = []int{3, 5, 7, 9}
 // share the seed, so the contenders race on the same disturbances. A
 // fixed organ is a policy with Min == Max == n: the controller can never
 // resize it, and Policy.Decide consumes no randomness, so its lane
-// equals the bare-farm run of runFixed. The rows are identical for any
-// worker count, and to the scalar oracles runFixed and e8Autonomic.
+// equals a bare farm of n replicas under the same storms. The rows are
+// identical for any worker count, and to the same contenders run one
+// by one on RunAdaptiveReference (TestBatchE8MatchesScalarCells).
 func RunE8(steps int64, seed uint64, workers int) ([]E8Row, error) {
 	steps, storms := e8Setup(steps)
 	lanes := make([]BatchLane, 0, len(e8FixedSizes)+1)
@@ -315,7 +314,7 @@ func RunE8(steps int64, seed uint64, workers int) ([]E8Row, error) {
 }
 
 // e8Setup normalizes the steps and derives the storm regime of the E8
-// sweep; the tests' scalar oracles run on the same regime.
+// sweep; the tests' reference-loop runs use the same regime.
 func e8Setup(steps int64) (int64, StormConfig) {
 	if steps <= 0 {
 		steps = 200_000
@@ -326,55 +325,6 @@ func e8Setup(steps int64) (int64, StormConfig) {
 		storms.StormEvery = 2000
 	}
 	return steps, storms
-}
-
-// e8Autonomic runs the adaptive contender on the reference loop; like
-// runFixed, it is an independent trial seeded from scratch. It
-// survives, with runFixed, as the scalar differential oracle the
-// batch-engine E8 rows are tested against, so it must not run on the
-// batch engine itself (RunAdaptive does).
-func e8Autonomic(steps int64, seed uint64, storms StormConfig) (E8Row, error) {
-	res, err := RunAdaptiveReference(AdaptiveRunConfig{
-		Steps:  steps,
-		Seed:   seed,
-		Policy: redundancy.DefaultPolicy(),
-		Storms: storms,
-	})
-	if err != nil {
-		return E8Row{}, err
-	}
-	return E8Row{
-		Strategy:      "autonomic",
-		Failures:      res.Failures,
-		ReplicaRounds: res.ReplicaRounds,
-		AvgRedundancy: float64(res.ReplicaRounds) / float64(res.Rounds),
-	}, nil
-}
-
-// runFixed runs the same disturbance regime against a fixed-size organ.
-// Like the campaign engine it rides the first-K fast path, so the fixed
-// contenders cost no per-round garbage either.
-func runFixed(steps int64, seed uint64, n int, stormCfg StormConfig) (E8Row, error) {
-	if err := stormCfg.Validate(); err != nil {
-		return E8Row{}, err
-	}
-	farm, err := voting.NewFarm(n, identity)
-	if err != nil {
-		return E8Row{}, err
-	}
-	rng := xrand.New(seed)
-	env := newStorms(stormCfg, rng)
-	corruptRng := rng.Split()
-	row := E8Row{Strategy: fmt.Sprintf("fixed n=%d", n)}
-	for step := int64(0); step < steps; step++ {
-		o := farm.RoundFirstK(uint64(step), env.corruptions(step), corruptRng)
-		row.ReplicaRounds += int64(o.N)
-		if o.Failed() {
-			row.Failures++
-		}
-	}
-	row.AvgRedundancy = float64(row.ReplicaRounds) / float64(steps)
-	return row, nil
 }
 
 // RenderE8 prints the dimensioning table.

@@ -767,9 +767,8 @@ func (b *BatchCampaign) LaneSnapshot(lane int) (*checkpoint.Snapshot, error) {
 			Resizes:   b.resizes[lane],
 			Rejected:  b.rejected[lane],
 		},
-		hasStorms: true,
-		storms:    b.storms[lane].exportState(),
-		crng:      b.crng[lane].State(),
+		storms: b.storms[lane].exportState(),
+		crng:   b.crng[lane].State(),
 	}
 	if b.red != nil {
 		st.red = b.red[lane]

@@ -281,8 +281,10 @@ func TestRestoreBatchCampaignRejectsMismatches(t *testing.T) {
 }
 
 // TestBatchE8MatchesScalarCells runs the lane-based E8 sweep against
-// the retained scalar oracles (runFixed, e8Autonomic): every contender
-// row must be identical.
+// the same contenders run one by one on the reference loop: a fixed
+// contender is RunAdaptiveReference with Min == Max == n, whose
+// controller can never resize, and the autonomic one runs the default
+// policy. Every contender row must be identical.
 func TestBatchE8MatchesScalarCells(t *testing.T) {
 	const steps = 50_000
 	const seed = 1906
@@ -291,26 +293,32 @@ func TestBatchE8MatchesScalarCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	normSteps, storms := e8Setup(steps)
-	want := make([]E8Row, 0, len(e8FixedSizes)+1)
-	for _, n := range e8FixedSizes {
-		row, err := runFixed(normSteps, seed, n, storms)
+	row := func(strategy string, policy redundancy.Policy) E8Row {
+		res, err := RunAdaptiveReference(AdaptiveRunConfig{Steps: normSteps, Seed: seed, Policy: policy, Storms: storms})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, row)
+		return E8Row{
+			Strategy:      strategy,
+			Failures:      res.Failures,
+			ReplicaRounds: res.ReplicaRounds,
+			AvgRedundancy: float64(res.ReplicaRounds) / float64(res.Rounds),
+		}
 	}
-	auto, err := e8Autonomic(normSteps, seed, storms)
-	if err != nil {
-		t.Fatal(err)
+	want := make([]E8Row, 0, len(e8FixedSizes)+1)
+	for _, n := range e8FixedSizes {
+		fixed := redundancy.Policy{Min: n, Max: n, CriticalDTOF: 1, Step: 2, LowerAfter: 1000}
+		want = append(want, row(fmt.Sprintf("fixed n=%d", n), fixed))
 	}
-	want = append(want, auto)
+	want = append(want, row("autonomic", redundancy.DefaultPolicy()))
 	if !reflect.DeepEqual(rows, want) {
-		t.Fatalf("batch E8 rows %+v\nscalar oracle %+v", rows, want)
+		t.Fatalf("batch E8 rows %+v\nreference rows %+v", rows, want)
 	}
 }
 
 // TestBatchE10MatchesScalarCells is the E10 version: the lane-based
-// hysteresis sweep must reproduce the scalar per-cell rows.
+// hysteresis sweep must reproduce each setting run alone on the
+// reference loop.
 func TestBatchE10MatchesScalarCells(t *testing.T) {
 	const steps = 60_000
 	const seed = 1906
@@ -322,14 +330,22 @@ func TestBatchE10MatchesScalarCells(t *testing.T) {
 	normSteps, normLas, storms := e10Setup(steps, las)
 	want := make([]E10Row, len(normLas))
 	for i, la := range normLas {
-		row, err := e10Row(normSteps, seed, storms, la)
+		policy := redundancy.DefaultPolicy()
+		policy.LowerAfter = la
+		res, err := RunAdaptiveReference(AdaptiveRunConfig{Steps: normSteps, Seed: seed, Policy: policy, Storms: storms})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = row
+		want[i] = E10Row{
+			LowerAfter:    la,
+			Failures:      res.Failures,
+			AvgRedundancy: float64(res.ReplicaRounds) / float64(res.Rounds),
+			Resizes:       res.Raises + res.Lowers,
+			MinFraction:   res.MinFraction,
+		}
 	}
 	if !reflect.DeepEqual(rows, want) {
-		t.Fatalf("batch E10 rows %+v\nscalar oracle %+v", rows, want)
+		t.Fatalf("batch E10 rows %+v\nreference rows %+v", rows, want)
 	}
 }
 

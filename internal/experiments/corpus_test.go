@@ -39,7 +39,7 @@ type corpusPoint struct {
 func corpusPoints(t *testing.T) []corpusPoint {
 	t.Helper()
 	fig7 := DefaultFig7Config(60_000)
-	onset := roundBefore(t, fig7, func(rc *ReferenceCampaign) bool { return rc.env.(*storms).inStorm })
+	onset := roundBefore(t, fig7, func(rc *ReferenceCampaign) bool { return rc.env.inStorm })
 	shards, err := SplitCampaign(fig7, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func midStorm(t *testing.T, cfg AdaptiveRunConfig) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := rc.env.(*storms)
+	s := rc.env
 	for !s.inStorm {
 		rc.Step()
 	}

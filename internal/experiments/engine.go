@@ -22,13 +22,14 @@
 // and TestRoundFirstKZeroAlloc). Only the rare resize rounds allocate,
 // inside HMAC signing of the resize message.
 //
-// This engine runs campaign jobs (internal/jobs and aft-worker),
-// aft-sim, aft-bench's bench7 and the scenario runner; the scenario
-// runner needs the CorruptionSource/FaultSource and the live
-// Switchboard that only this engine has. RunAdaptive, the E8/E10
+// This engine runs campaign jobs (internal/jobs and aft-worker) and
+// aft-bench's bench7. RunAdaptive (and so aft-sim), the E8/E10
 // ablations, and the parallel sweeps (SweepSeeds/SweepReplicas) run on
 // the batch engine (batch.go); the pre-engine loop survives as
-// RunAdaptiveReference, the differential-testing oracle.
+// RunAdaptiveReference, the differential-testing oracle. Every engine
+// is driven by the storm generator alone: the chaos harness
+// (internal/scenario) steps its own switchboard, so no engine takes
+// another fault source.
 package experiments
 
 import (
@@ -54,13 +55,9 @@ func identity(v uint64) uint64 { return v }
 // Campaign is the fused §3.3 hot loop. Construct with NewCampaign, drive
 // with Step (one voting round per call), and harvest with Result.
 type Campaign struct {
-	cfg AdaptiveRunConfig
-	sb  *redundancy.Switchboard
-	env CorruptionSource
-	// fsrc is env when env implements FaultSource (scenario runs with
-	// colluding or partitioned rounds); nil for storm campaigns, whose
-	// hot path stays branch-for-branch what it was.
-	fsrc FaultSource
+	cfg  AdaptiveRunConfig
+	sb   *redundancy.Switchboard
+	env  *storms
 	crng *xrand.Rand
 
 	// occ counts rounds by replica count; index ≤ Policy.Max because the
@@ -95,11 +92,7 @@ func NewCampaign(cfg AdaptiveRunConfig) (*Campaign, error) {
 	if err := cfg.Storms.Validate(); err != nil {
 		return nil, err
 	}
-	farm, err := voting.NewFarm(cfg.Policy.Min, identity)
-	if err != nil {
-		return nil, err
-	}
-	sb, err := redundancy.NewSwitchboard(farm, cfg.Policy, campaignKey)
+	sb, err := newOrgan(cfg.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -120,6 +113,16 @@ func NewCampaign(cfg AdaptiveRunConfig) (*Campaign, error) {
 	return c, nil
 }
 
+// newOrgan builds the identity-method voting farm and switchboard every
+// scalar campaign shares.
+func newOrgan(policy redundancy.Policy) (*redundancy.Switchboard, error) {
+	farm, err := voting.NewFarm(policy.Min, identity)
+	if err != nil {
+		return nil, err
+	}
+	return redundancy.NewSwitchboard(farm, policy, campaignKey)
+}
+
 // Switchboard exposes the campaign's switchboard (read-only use:
 // resize/rejection counters, controller state).
 func (c *Campaign) Switchboard() *redundancy.Switchboard { return c.sb }
@@ -132,14 +135,7 @@ func (c *Campaign) Rounds() int64 { return c.step }
 // returned Outcome's Votes slice aliases the farm's reusable buffer and
 // is only valid until the next Step.
 func (c *Campaign) Step() voting.Outcome {
-	var o voting.Outcome
-	if c.fsrc != nil {
-		f := c.fsrc.Faults(c.step)
-		o, _ = c.sb.StepFaulty(uint64(c.step), f.Corruptions, f.Colluding, f.Partitioned, c.crng)
-	} else {
-		k := c.env.Corruptions(c.step)
-		o, _ = c.sb.StepFirstK(uint64(c.step), k, c.crng)
-	}
+	o, _ := c.sb.StepFirstK(uint64(c.step), c.env.corruptions(c.step), c.crng)
 	if c.red != nil && c.step%c.cfg.SampleEvery == 0 {
 		c.red.Append(c.step, float64(o.N))
 		c.dtof.Append(c.step, float64(o.DTOF))

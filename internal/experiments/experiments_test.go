@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -187,6 +190,53 @@ func TestFig7ShapeScaledDown(t *testing.T) {
 	out := RenderFig7(res, 3)
 	if !strings.Contains(out, "99.92798") {
 		t.Fatalf("render missing paper reference:\n%s", out)
+	}
+}
+
+// fig7ClaimsGolden records the spread of Fig. 7's headline number
+// across replicas; -update rewrites it.
+const fig7ClaimsGolden = "testdata/fig7-claims.golden"
+
+// TestFig7PaperClaims checks Fig. 7's claims against 32 replicas of the
+// paper's full 65M-round campaign (seeds xrand.Seeds(1906, 32)): no
+// replica has a voting failure (the paper observed no clashes), and the
+// paper's 99.92798% time at minimal redundancy lies within the
+// replicas' range. The golden records that time's minimum, median and
+// maximum to five decimals, so a change that moves the distribution
+// fails here even while the paper's value stays inside it.
+func TestFig7PaperClaims(t *testing.T) {
+	const paper = 99.92798
+	res, err := SweepReplicas(DefaultFig7Config(65_000_000), 32, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pct := make([]float64, len(res))
+	for i, r := range res {
+		if r.Failures != 0 {
+			t.Errorf("replica %d: %d voting failures, want 0 (paper: no clashes observed)", i, r.Failures)
+		}
+		pct[i] = 100 * r.MinFraction
+	}
+	slices.Sort(pct)
+	lo, hi := pct[0], pct[len(pct)-1]
+	if paper < lo || paper > hi {
+		t.Errorf("paper's %.5f%% at r=3 outside the replicas' range [%.5f%%, %.5f%%]", paper, lo, hi)
+	}
+	// The median of an even count is the upper middle value here.
+	got := fmt.Sprintf("replicas %d\nmin %.5f\nmedian %.5f\nmax %.5f\n",
+		len(pct), lo, pct[len(pct)/2], hi)
+	if *update {
+		if err := os.WriteFile(fig7ClaimsGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(fig7ClaimsGolden)
+	if err != nil {
+		t.Fatalf("missing Fig. 7 claims golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("Fig. 7 time at r=3 across replicas moved:\n%s\nwant:\n%s", got, want)
 	}
 }
 

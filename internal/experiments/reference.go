@@ -9,7 +9,11 @@
 // Switchboard.Step, and a map-backed histogram observed every round. The
 // differential tests continue to assert its transcripts match the fused
 // engine's byte for byte — and, new with checkpointing, that a snapshot
-// taken on either engine resumes identically on both.
+// taken on either engine resumes identically on both. Like every
+// engine it is driven by the storm generator alone; the heap-ballot
+// idiom under colluding and partitioned rounds is checked where those
+// faults live, by the chaos harness's differential replay
+// (redundancy.Switchboard.StepFaultyRef in internal/scenario).
 
 package experiments
 
@@ -26,12 +30,9 @@ import (
 // differential-testing oracle for the fused Campaign. Construct with
 // NewReferenceCampaign, drive with Step or Run, harvest with Result.
 type ReferenceCampaign struct {
-	cfg AdaptiveRunConfig
-	sb  *redundancy.Switchboard
-	env CorruptionSource
-	// fsrc is env when env implements FaultSource, mirroring the fused
-	// engine: colluding/partitioned rounds route through StepFaultyRef.
-	fsrc FaultSource
+	cfg  AdaptiveRunConfig
+	sb   *redundancy.Switchboard
+	env  *storms
 	crng *xrand.Rand
 
 	hist                          *metrics.IntHistogram
@@ -67,32 +68,6 @@ func NewReferenceCampaign(cfg AdaptiveRunConfig) (*ReferenceCampaign, error) {
 	return rc, nil
 }
 
-// NewReferenceCampaignWithSource builds a reference campaign whose
-// environment is the given source instead of the configured storm model,
-// mirroring NewCampaignWithSource.
-func NewReferenceCampaignWithSource(cfg AdaptiveRunConfig, src CorruptionSource) (*ReferenceCampaign, error) {
-	if cfg.Steps <= 0 {
-		return nil, fmt.Errorf("experiments: Steps must be positive")
-	}
-	if src == nil {
-		return nil, fmt.Errorf("experiments: nil corruption source")
-	}
-	sb, err := newOrgan(cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
-	rc := &ReferenceCampaign{
-		cfg:  cfg,
-		sb:   sb,
-		env:  src,
-		crng: xrand.New(cfg.Seed).Split(),
-		hist: metrics.NewIntHistogram(),
-	}
-	rc.fsrc, _ = src.(FaultSource)
-	rc.newSeries()
-	return rc, nil
-}
-
 // newSeries allocates the sampling series when the config asks for them.
 func (rc *ReferenceCampaign) newSeries() {
 	if rc.cfg.SampleEvery > 0 {
@@ -122,19 +97,11 @@ func (rc *ReferenceCampaign) Config() AdaptiveRunConfig { return rc.cfg }
 // per-round corruption closure, a heap ballot slice through
 // Switchboard.Step, and a map histogram observation.
 func (rc *ReferenceCampaign) Step() voting.Outcome {
-	var o voting.Outcome
-	if rc.fsrc != nil {
-		f := rc.fsrc.Faults(rc.step)
-		o, _ = rc.sb.StepFaultyRef(uint64(rc.step), f.Corruptions, f.Colluding, f.Partitioned, rc.crng)
-	} else {
-		k := rc.env.Corruptions(rc.step)
-		var corrupted func(i int) bool
-		if k > 0 {
-			kk := k
-			corrupted = func(i int) bool { return i < kk }
-		}
-		o, _ = rc.sb.Step(uint64(rc.step), corrupted, rc.crng)
+	var corrupted func(i int) bool
+	if k := rc.env.corruptions(rc.step); k > 0 {
+		corrupted = func(i int) bool { return i < k }
 	}
+	o, _ := rc.sb.Step(uint64(rc.step), corrupted, rc.crng)
 	if rc.red != nil && rc.step%rc.cfg.SampleEvery == 0 {
 		rc.red.Append(rc.step, float64(o.N))
 		rc.dtof.Append(rc.step, float64(o.DTOF))

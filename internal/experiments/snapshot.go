@@ -48,7 +48,10 @@ const (
 	engineBatch     = "batch"
 )
 
-// envKind bytes of the "env" section.
+// envKind bytes of the "env" section. Every engine writes envStorms;
+// envExternal marks a snapshot of a campaign that took an external
+// corruption source, which older builds wrote and which no engine
+// restores.
 const (
 	envExternal = 0
 	envStorms   = 1
@@ -64,6 +67,7 @@ type campaignState struct {
 
 	sb redundancy.SwitchboardState
 
+	// hasStorms is false only for a decoded envExternal snapshot.
 	hasStorms bool
 	storms    stormsState
 	crng      [4]uint64
@@ -117,18 +121,14 @@ func snapshotCampaign(st campaignState) (*checkpoint.Snapshot, error) {
 	snap.Add("switchboard", sb.Data())
 
 	var env checkpoint.Writer
-	if st.hasStorms {
-		env.Byte(envStorms)
-		env.U64s(st.storms.rng[:])
-		env.I64(st.storms.nextOnset)
-		env.I64(st.storms.stormEnd)
-		env.I64(st.storms.level)
-		env.I64(st.storms.onset)
-		env.I64(int64(st.storms.peak))
-		env.Bool(st.storms.inStorm)
-	} else {
-		env.Byte(envExternal)
-	}
+	env.Byte(envStorms)
+	env.U64s(st.storms.rng[:])
+	env.I64(st.storms.nextOnset)
+	env.I64(st.storms.stormEnd)
+	env.I64(st.storms.level)
+	env.I64(st.storms.onset)
+	env.I64(int64(st.storms.peak))
+	env.Bool(st.storms.inStorm)
 	snap.Add("env", env.Data())
 
 	var crng checkpoint.Writer
@@ -247,7 +247,6 @@ func decodeCampaign(snap *checkpoint.Snapshot) (campaignState, error) {
 		st.storms.peak = int(env.I64())
 		st.storms.inStorm = env.Bool()
 	case envExternal:
-		st.hasStorms = false
 	default:
 		return st, fmt.Errorf("experiments: unknown env kind %d", kind)
 	}
@@ -309,6 +308,7 @@ func (c *Campaign) Snapshot() (*checkpoint.Snapshot, error) {
 		replicaRounds: c.replicaRounds,
 		occupancy:     make(map[int]int64),
 		sb:            c.sb.ExportState(),
+		storms:        c.env.exportState(),
 		crng:          c.crng.State(),
 		red:           c.red,
 		dtof:          c.dtof,
@@ -317,10 +317,6 @@ func (c *Campaign) Snapshot() (*checkpoint.Snapshot, error) {
 		if cnt > 0 {
 			st.occupancy[n] = cnt
 		}
-	}
-	if s, ok := c.env.(*storms); ok {
-		st.hasStorms = true
-		st.storms = s.exportState()
 	}
 	return snapshotCampaign(st)
 }
@@ -336,6 +332,7 @@ func (rc *ReferenceCampaign) Snapshot() (*checkpoint.Snapshot, error) {
 		replicaRounds: rc.replicaRounds,
 		occupancy:     make(map[int]int64),
 		sb:            rc.sb.ExportState(),
+		storms:        rc.env.exportState(),
 		crng:          rc.crng.State(),
 		red:           rc.red,
 		dtof:          rc.dtof,
@@ -343,16 +340,12 @@ func (rc *ReferenceCampaign) Snapshot() (*checkpoint.Snapshot, error) {
 	for _, n := range rc.hist.Values() {
 		st.occupancy[n] = rc.hist.Count(n)
 	}
-	if s, ok := rc.env.(*storms); ok {
-		st.hasStorms = true
-		st.storms = s.exportState()
-	}
 	return snapshotCampaign(st)
 }
 
-// errSourceSnapshot refuses a snapshot of a source-driven campaign
-// (NewCampaignWithSource): the external source is not part of the
-// snapshot, so such a run is replayed from its spec instead.
+// errSourceSnapshot refuses a snapshot taken with an external
+// corruption source: the source is not part of the snapshot, and every
+// engine now runs on the storm generator alone.
 var errSourceSnapshot = errors.New("experiments: snapshot was taken with an external corruption source; only storm-driven campaigns restore")
 
 // decodeStormCampaign decodes a snapshot of a storm-driven campaign.
@@ -365,7 +358,7 @@ func decodeStormCampaign(snap *checkpoint.Snapshot) (campaignState, error) {
 }
 
 // RestoreCampaign rebuilds a fused campaign from a snapshot of a
-// storm-driven run (NewCampaign). Snapshots of source-driven campaigns
+// storm-driven run. Snapshots taken with an external corruption source
 // are refused.
 func RestoreCampaign(snap *checkpoint.Snapshot) (*Campaign, error) {
 	st, err := decodeStormCampaign(snap)
@@ -388,7 +381,7 @@ func (c *Campaign) restore(st campaignState) error {
 	if err := c.sb.RestoreState(st.sb); err != nil {
 		return err
 	}
-	if err := c.env.(*storms).restoreState(st.storms); err != nil {
+	if err := c.env.restoreState(st.storms); err != nil {
 		return err
 	}
 	if err := c.crng.SetState(st.crng); err != nil {
@@ -435,7 +428,7 @@ func (rc *ReferenceCampaign) restore(st campaignState) error {
 	if err := rc.sb.RestoreState(st.sb); err != nil {
 		return err
 	}
-	if err := rc.env.(*storms).restoreState(st.storms); err != nil {
+	if err := rc.env.restoreState(st.storms); err != nil {
 		return err
 	}
 	if err := rc.crng.SetState(st.crng); err != nil {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"aft/internal/checkpoint"
@@ -141,44 +143,34 @@ func TestSnapshotResumeFig6Series(t *testing.T) {
 	}
 }
 
-// TestSnapshotResumeSourceCampaign pins the refusal of a source-driven
-// snapshot: the external source is not part of the snapshot, so both
-// restore entry points refuse it with one pinned text, and the run is
-// replayed from its spec instead.
+// TestSnapshotResumeSourceCampaign pins the refusal of a snapshot
+// taken with an external corruption source. Engines no longer take one,
+// but an uploaded checkpoint can still carry such an env section, so
+// testdata/source-driven.aftckpt keeps one: a fused campaign (Steps
+// 20 000, seed 1906, the Fig. 7 policy) driven by a source that
+// corrupted two replicas on the first three rounds of every 997,
+// snapshotted after 7 331 rounds. Every restore entry point refuses it
+// with its pinned text; such a run is replayed from its spec instead.
 func TestSnapshotResumeSourceCampaign(t *testing.T) {
-	cfg := AdaptiveRunConfig{Steps: 20_000, Seed: 1906, Policy: DefaultFig7Config(0).Policy}
-	c, err := NewCampaignWithSource(cfg, scriptedSource{})
+	data, err := os.ReadFile(filepath.Join("testdata", "source-driven.aftckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(7_331)
-	snap, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := checkpoint.Decode(snap.Encode())
+	snap, err := checkpoint.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const want = "experiments: snapshot was taken with an external corruption source; only storm-driven campaigns restore"
-	if _, err := RestoreCampaign(decoded); err == nil || err.Error() != want {
+	if _, err := RestoreCampaign(snap); err == nil || err.Error() != want {
 		t.Fatalf("RestoreCampaign = %v, want %q", err, want)
 	}
-	if _, err := RestoreReferenceCampaign(decoded); err == nil || err.Error() != want {
+	if _, err := RestoreReferenceCampaign(snap); err == nil || err.Error() != want {
 		t.Fatalf("RestoreReferenceCampaign = %v, want %q", err, want)
 	}
-}
-
-// scriptedSource is a deterministic stateless corruption source: bursts
-// every 997 rounds.
-type scriptedSource struct{}
-
-// Corruptions implements CorruptionSource.
-func (scriptedSource) Corruptions(step int64) int {
-	if step%997 < 3 {
-		return 2
+	const wantBatch = "experiments: lane 0 was taken with an external corruption source; batches are storm-driven only"
+	if _, err := RestoreBatchCampaign([]*checkpoint.Snapshot{snap}); err == nil || err.Error() != wantBatch {
+		t.Fatalf("RestoreBatchCampaign = %v, want %q", err, wantBatch)
 	}
-	return 0
 }
 
 // TestSnapshotRejectsCorruption flips bytes and truncates a real

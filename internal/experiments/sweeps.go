@@ -177,7 +177,8 @@ func (r E10Row) String() string {
 // Every setting is one lane of one batch on the batch engine (same seed,
 // default policy with the hysteresis knob varied), sharded across
 // workers goroutines (1 = serial, 0 = one per CPU). The rows are
-// identical for any worker count, and to the scalar oracle e10Row.
+// identical for any worker count, and to the same settings run one by
+// one on RunAdaptiveReference (TestBatchE10MatchesScalarCells).
 func RunE10(steps int64, seed uint64, lowerAfters []int, workers int) ([]E10Row, error) {
 	steps, lowerAfters, storms := e10Setup(steps, lowerAfters)
 	lanes := make([]BatchLane, len(lowerAfters))
@@ -205,8 +206,8 @@ func RunE10(steps int64, seed uint64, lowerAfters []int, workers int) ([]E10Row,
 }
 
 // e10Setup fills in the default steps and LowerAfter settings and
-// derives the storm regime of the E10 sweep; the tests' scalar oracle
-// runs on the same regime.
+// derives the storm regime of the E10 sweep; the tests' reference-loop
+// runs use the same regime.
 func e10Setup(steps int64, lowerAfters []int) (int64, []int, StormConfig) {
 	if steps <= 0 {
 		steps = 200_000
@@ -220,31 +221,6 @@ func e10Setup(steps int64, lowerAfters []int) (int64, []int, StormConfig) {
 		storms.StormEvery = 2000
 	}
 	return steps, lowerAfters, storms
-}
-
-// e10Row measures one LowerAfter setting on the reference loop; rows
-// are independent runs. It survives as the scalar differential oracle
-// the batch-engine E10 rows are tested against, so it must not run on
-// the batch engine itself (RunAdaptive does).
-func e10Row(steps int64, seed uint64, storms StormConfig, la int) (E10Row, error) {
-	policy := redundancy.DefaultPolicy()
-	policy.LowerAfter = la
-	res, err := RunAdaptiveReference(AdaptiveRunConfig{
-		Steps:  steps,
-		Seed:   seed,
-		Policy: policy,
-		Storms: storms,
-	})
-	if err != nil {
-		return E10Row{}, err
-	}
-	return E10Row{
-		LowerAfter:    la,
-		Failures:      res.Failures,
-		AvgRedundancy: float64(res.ReplicaRounds) / float64(res.Rounds),
-		Resizes:       res.Raises + res.Lowers,
-		MinFraction:   res.MinFraction,
-	}, nil
 }
 
 // RenderE10 prints the sweep.

@@ -2,8 +2,7 @@ package scenario
 
 import (
 	"fmt"
-
-	"aft/internal/experiments"
+	"reflect"
 )
 
 // DiffReport is the outcome of one differential replay.
@@ -11,19 +10,21 @@ type DiffReport struct {
 	Scenario string
 	Seed     uint64
 	Rounds   int64
-	// Transcript is the (shared) Fig. 7-style rendering both engines
-	// must produce byte-identically.
-	Transcript string
 }
 
-// Differential replays the scenario's organ track — the exact
-// corruption-count stream the Runner feeds the switchboard — through
-// both the fused experiments.Campaign engine and the pre-engine
-// reference loop, and fails unless every observable outcome is
-// identical: the rendered Fig. 7 transcript (occupancy histogram,
-// failures, replica-rounds, time at minimal redundancy) and the
-// controller's raise/lower decisions. It returns an error describing
-// the first divergence, or the shared report on parity.
+// Differential replays the scenario's organ track — the exact fault
+// stream the Runner feeds the switchboard — on two organs built alike
+// from the run seed: one stepped by redundancy.Switchboard.StepFaulty,
+// the reusable-buffer path of the fused campaign engine
+// (voting.Farm.RoundFirstK and RoundColluding), and one by
+// StepFaultyRef, the heap-ballot path of the reference loop (Round and
+// RoundShared). It fails on the first round whose ballots, outcome or
+// resize differ, and on any difference in the final switchboard state:
+// dimensioning, controller streak and decisions, nonce watermark, and
+// the message and farm counters. It returns an error describing the
+// divergence, or the report on parity. The campaign engines run only
+// the storm generator, so this is where the faults a scenario adds —
+// colluding voter groups, a cut control link — meet both paths.
 //
 // Scenarios without an organ have no differential surface and report
 // zero rounds.
@@ -38,42 +39,31 @@ func Differential(spec Spec, seed uint64) (DiffReport, error) {
 	if rep.Rounds == 0 {
 		return rep, nil
 	}
-	cfg := organConfig(spec, seed)
-
-	progA, err := newProgram(spec, programRng(seed))
+	prog, err := newProgram(spec, programRng(seed))
 	if err != nil {
 		return rep, err
 	}
-	eng, err := experiments.NewCampaignWithSource(cfg, organSource{prog: progA})
+	fused, err := newOrgan(spec, seed)
 	if err != nil {
 		return rep, err
 	}
-	eng.Run(rep.Rounds)
-	engRes := eng.Result()
-
-	progB, err := newProgram(spec, programRng(seed))
+	ref, err := newOrgan(spec, seed)
 	if err != nil {
 		return rep, err
 	}
-	refRes, err := experiments.RunAdaptiveReferenceSource(cfg, organSource{prog: progB})
-	if err != nil {
-		return rep, err
+	for s := int64(0); s < rep.Rounds; s++ {
+		ph, _, strike := prog.step(s)
+		k, collude, partitioned := organFaults(ph, strike)
+		a, resizedA := fused.sb.StepFaulty(uint64(s), k, collude, partitioned, fused.crng)
+		b, resizedB := ref.sb.StepFaultyRef(uint64(s), k, collude, partitioned, ref.crng)
+		if !reflect.DeepEqual(a, b) || resizedA != resizedB {
+			return rep, fmt.Errorf("scenario %s: fused and reference paths diverge at round %d (k=%d collude=%v partitioned=%v):\n--- fused\n%+v resized=%v\n--- reference\n%+v resized=%v",
+				spec.Name, s, k, collude, partitioned, a, resizedA, b, resizedB)
+		}
 	}
-
-	engT := experiments.RenderFig7(engRes, spec.Policy.Min)
-	refT := experiments.RenderFig7(refRes, spec.Policy.Min)
-	if engT != refT {
-		return rep, fmt.Errorf("scenario %s: fused engine and reference loop diverge:\n--- fused\n%s--- reference\n%s",
-			spec.Name, engT, refT)
+	if a, b := fused.sb.ExportState(), ref.sb.ExportState(); a != b {
+		return rep, fmt.Errorf("scenario %s: final switchboard states diverge: fused %+v, reference %+v",
+			spec.Name, a, b)
 	}
-	if engRes.Raises != refRes.Raises || engRes.Lowers != refRes.Lowers {
-		return rep, fmt.Errorf("scenario %s: controller decisions diverge: fused %d/%d raises/lowers, reference %d/%d",
-			spec.Name, engRes.Raises, engRes.Lowers, refRes.Raises, refRes.Lowers)
-	}
-	if engRes.Rounds != refRes.Rounds {
-		return rep, fmt.Errorf("scenario %s: round counts diverge: fused %d, reference %d",
-			spec.Name, engRes.Rounds, refRes.Rounds)
-	}
-	rep.Transcript = engT
 	return rep, nil
 }

@@ -88,8 +88,8 @@ func (inv *invariants) latched(now int64) {
 
 // freezeRounds pins the farm's round counter at teardown.
 func (inv *invariants) freezeRounds() {
-	if inv.r.camp != nil {
-		rounds, _ := inv.r.camp.Switchboard().Farm().Stats()
+	if inv.r.organ != nil {
+		rounds, _ := inv.r.sb.Farm().Stats()
 		inv.frozenRounds = rounds
 		inv.roundsFrozen = true
 	}
@@ -114,13 +114,13 @@ func (inv *invariants) check(now int64) {
 		inv.checked++
 		switch name {
 		case InvRedundancyBand:
-			n := inv.r.camp.Switchboard().Farm().N()
+			n := inv.r.sb.Farm().N()
 			p := inv.r.spec.Policy
 			if n < p.Min || n > p.Max || n%2 == 0 {
 				inv.violate(name, now, "replica count %d outside policy band [%d,%d] (or even)", n, p.Min, p.Max)
 			}
 		case InvNonceMonotone:
-			sb := inv.r.camp.Switchboard()
+			sb := inv.r.sb
 			nonce, resizes := sb.LastNonce(), sb.Resizes()
 			if inv.fakeStaleOnce {
 				// Sabotage: pretend the switchboard accepted a replayed
@@ -157,7 +157,7 @@ func (inv *invariants) check(now int64) {
 			if !inv.roundsFrozen {
 				break
 			}
-			rounds, _ := inv.r.camp.Switchboard().Farm().Stats()
+			rounds, _ := inv.r.sb.Farm().Stats()
 			if rounds != inv.frozenRounds {
 				inv.violate(name, now, "voting round executed after teardown: %d rounds, expected %d",
 					rounds, inv.frozenRounds)
@@ -204,7 +204,7 @@ func (r *runner) applySabotage(now int64) {
 			// Resize the farm directly, bypassing the switchboard's
 			// band check: Min-2 is odd and positive, so the farm
 			// accepts a dimensioning below the policy floor.
-			_ = r.camp.Switchboard().Farm().SetReplicas(r.spec.Policy.Min - 2)
+			_ = r.sb.Farm().SetReplicas(r.spec.Policy.Min - 2)
 		}
 	case InvNonceMonotone:
 		if now == r.spec.Horizon/2 {
@@ -213,7 +213,7 @@ func (r *runner) applySabotage(now int64) {
 	case InvTeardownQuiet:
 		mid := r.spec.TeardownAt + (r.spec.Horizon-r.spec.TeardownAt)/2
 		if now == mid && r.torn {
-			r.camp.Switchboard().Farm().RoundFirstK(0, 0, nil)
+			r.sb.Farm().RoundFirstK(0, 0, nil)
 		}
 	}
 }

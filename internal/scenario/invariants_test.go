@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -8,7 +9,10 @@ import (
 // TestSabotageTripsInvariants drives each sabotage hook and asserts the
 // matching checker reports the violation, names the invariant, and
 // stamps the simulated time — the detection path cmd/aft-chaos turns
-// into a non-zero exit.
+// into a non-zero exit. A sabotage must not move the organ's round
+// count either: the teardown sabotage's extra round reaches the farm's
+// own counter, which is what its checker reads, but not the rounds the
+// run reports.
 func TestSabotageTripsInvariants(t *testing.T) {
 	cases := []struct {
 		scenario  string
@@ -44,6 +48,16 @@ func TestSabotageTripsInvariants(t *testing.T) {
 			}
 			if !strings.Contains(res.Transcript, "violation "+tc.invariant) {
 				t.Fatal("violation missing from the transcript")
+			}
+			clean, err := Run(spec, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.OrganRounds != clean.OrganRounds {
+				t.Fatalf("sabotaged run reports %d organ rounds, clean run %d", res.OrganRounds, clean.OrganRounds)
+			}
+			if want := fmt.Sprintf("summary organ: rounds=%d ", clean.OrganRounds); !strings.Contains(res.Transcript, want) {
+				t.Fatalf("sabotaged transcript lacks %q", want)
 			}
 		})
 	}

@@ -5,12 +5,12 @@ import (
 
 	"aft/internal/accada"
 	"aft/internal/alphacount"
-	"aft/internal/experiments"
 	"aft/internal/faults"
 	"aft/internal/ftpatterns"
 	"aft/internal/redundancy"
 	"aft/internal/simclock"
 	"aft/internal/trace"
+	"aft/internal/voting"
 	"aft/internal/watchdog"
 	"aft/internal/xrand"
 )
@@ -51,8 +51,8 @@ type Result struct {
 // program steps the spec's phase schedule: it selects the phase active
 // at each simulated step and advances that phase's model. Both the
 // Runner and the differential mode replay the same program from the
-// same derived stream, so the organ's corruption track is identical in
-// every engine.
+// same derived stream, so every organ they build sees the same fault
+// track.
 type program struct {
 	phases []Phase
 	models []faults.Model
@@ -81,61 +81,42 @@ func (p *program) step(s int64) (Phase, int, bool) {
 	return p.phases[p.idx], p.idx, p.models[p.idx].Step(p.rng)
 }
 
-// organSource adapts a program to the campaign engine's fault
-// interface for the differential mode, replaying only the organ track.
-// Because it implements experiments.FaultSource, the engines consult
-// Faults — exactly once per round — and Corruptions is never called on
-// the engine path; both methods advance the program, so a caller must
-// use one or the other, never both.
-type organSource struct{ prog *program }
+// organKey authenticates the organ's resize messages, its own and the
+// replayed ones; transcripts do not depend on its value.
+var organKey = []byte("scenario-organ-key")
 
-// Corruptions implements experiments.CorruptionSource.
-func (o organSource) Corruptions(step int64) int {
-	return o.Faults(step).Corruptions
+// organ is the §3.3 redundancy organ a scenario drives: an
+// identity-method voting farm behind a switchboard, and the stream the
+// corrupted replicas draw their wrong values from.
+type organ struct {
+	sb   *redundancy.Switchboard
+	crng *xrand.Rand
 }
 
-// Faults implements experiments.FaultSource, advancing the shared
-// phase program exactly once per round.
-func (o organSource) Faults(step int64) experiments.StepFaults {
-	ph, _, strike := o.prog.step(step)
+// newOrgan builds the organ for a run seed. Seeds are split per
+// subsystem (xrand.Seeds), so the corrupt-value stream and the phase
+// program's strike stream (programRng) are independent but both pure
+// functions of the run seed.
+func newOrgan(spec Spec, seed uint64) (*organ, error) {
+	farm, err := voting.NewFarm(spec.Policy.Min, func(v uint64) uint64 { return v })
+	if err != nil {
+		return nil, err
+	}
+	sb, err := redundancy.NewSwitchboard(farm, spec.Policy, organKey)
+	if err != nil {
+		return nil, err
+	}
+	return &organ{sb: sb, crng: xrand.New(xrand.Seeds(seed, 2)[0]).Split()}, nil
+}
+
+// organFaults derives one round's organ faults from the active phase
+// and whether its model struck: how many replicas are corrupted,
+// whether they collude, and whether the control link is cut.
+func organFaults(ph Phase, strike bool) (k int, collude, partitioned bool) {
 	if !strike {
-		return experiments.StepFaults{}
+		return 0, false, false
 	}
-	return experiments.StepFaults{
-		Corruptions: ph.Corrupt,
-		Colluding:   ph.Collude && ph.Corrupt > 0,
-		Partitioned: ph.Partition,
-	}
-}
-
-// pushSource feeds the Runner's per-step fault environment into the
-// fused campaign engine: the Runner derives the strike's organ effect
-// from the shared phase program, pushes it here, and steps the
-// campaign.
-type pushSource struct {
-	k                    int
-	collude, partitioned bool
-}
-
-// Corruptions implements experiments.CorruptionSource.
-func (p *pushSource) Corruptions(int64) int { return p.k }
-
-// Faults implements experiments.FaultSource.
-func (p *pushSource) Faults(int64) experiments.StepFaults {
-	return experiments.StepFaults{Corruptions: p.k, Colluding: p.collude, Partitioned: p.partitioned}
-}
-
-// organConfig derives the campaign configuration for a scenario's organ
-// track. Seeds are split per subsystem (xrand.Seeds), so the campaign's
-// corrupt-value stream and the phase program's strike stream are
-// independent but both pure functions of the run seed.
-func organConfig(spec Spec, seed uint64) experiments.AdaptiveRunConfig {
-	seeds := xrand.Seeds(seed, 2)
-	return experiments.AdaptiveRunConfig{
-		Steps:  spec.OrganRounds(),
-		Seed:   seeds[0],
-		Policy: spec.Policy,
-	}
+	return ph.Corrupt, ph.Collude && ph.Corrupt > 0, ph.Partition
 }
 
 // programRng derives the phase program's strike stream for a run seed.
@@ -150,9 +131,12 @@ type runner struct {
 	sched *simclock.Scheduler
 	prog  *program
 
-	camp *experiments.Campaign
-	push *pushSource
-	torn bool
+	// organ is nil when the spec disables it. organRounds and
+	// organFailures count the rounds the tick chain ran, not the farm's
+	// own counters, which a sabotage round after teardown also moves.
+	*organ
+	organRounds, organFailures int64
+	torn                       bool
 
 	latch faults.Latch
 	exec  *accada.AdaptiveExecutor
@@ -184,7 +168,7 @@ func Run(spec Spec, opt Options) (*Result, error) {
 	return r.result(), nil
 }
 
-// newRunner builds every subsystem of a run — program, organ campaign,
+// newRunner builds every subsystem of a run — program, organ,
 // executor, watchdogs, invariants — without scheduling anything.
 func newRunner(spec Spec, opt Options) (*runner, error) {
 	if err := spec.Validate(); err != nil {
@@ -217,8 +201,7 @@ func newRunner(spec Spec, opt Options) (*runner, error) {
 		return nil, err
 	}
 	if spec.Organ {
-		r.push = &pushSource{}
-		if r.camp, err = experiments.NewCampaignWithSource(organConfig(spec, seed), r.push); err != nil {
+		if r.organ, err = newOrgan(spec, seed); err != nil {
 			return nil, err
 		}
 	}
@@ -317,21 +300,17 @@ func (r *runner) tick(s *simclock.Scheduler) {
 		r.inject(now, rp)
 	}
 
-	if r.camp != nil && !r.torn {
-		r.push.k, r.push.collude, r.push.partitioned = 0, false, false
-		if strike {
-			r.push.k = ph.Corrupt
-			r.push.collude = ph.Collude && ph.Corrupt > 0
-			r.push.partitioned = ph.Partition
-		}
-		o := r.camp.Step()
-		sb := r.camp.Switchboard()
-		if res := sb.Resizes(); res != r.prevRes {
+	if r.organ != nil && !r.torn {
+		k, collude, partitioned := organFaults(ph, strike)
+		o, _ := r.sb.StepFaulty(uint64(r.organRounds), k, collude, partitioned, r.crng)
+		r.organRounds++
+		if res := r.sb.Resizes(); res != r.prevRes {
 			r.prevRes = res
-			r.rec.Record(now, "resize", "organ", "n=%d nonce=%d", sb.Farm().N(), sb.LastNonce())
+			r.rec.Record(now, "resize", "organ", "n=%d nonce=%d", r.sb.Farm().N(), r.sb.LastNonce())
 		}
 		if o.Failed() {
-			r.rec.Record(now, "vote-failed", "organ", "n=%d dissent=%d corrupted=%d", o.N, o.Dissent, r.push.k)
+			r.organFailures++
+			r.rec.Record(now, "vote-failed", "organ", "n=%d dissent=%d corrupted=%d", o.N, o.Dissent, k)
 		}
 	}
 
@@ -375,9 +354,8 @@ func (r *runner) tick(s *simclock.Scheduler) {
 // switchboard's ruling. Every attack must be rejected; an acceptance is
 // recorded loudly and will also trip the nonce or band invariant.
 func (r *runner) inject(now int64, rp ReplaySpec) {
-	sb := r.camp.Switchboard()
 	req := r.craft(rp)
-	if err := sb.Apply(req); err != nil {
+	if err := r.sb.Apply(req); err != nil {
 		r.rec.Record(now, "attack", rp.Kind, "rejected: %v", err)
 		return
 	}
@@ -386,20 +364,19 @@ func (r *runner) inject(now int64, rp ReplaySpec) {
 
 // craft builds the adversarial request for an attack kind.
 func (r *runner) craft(rp ReplaySpec) redundancy.ResizeRequest {
-	sb := r.camp.Switchboard()
+	last := r.sb.LastNonce()
 	switch rp.Kind {
 	case AttackForge:
 		// Signed under the wrong key: fails authentication outright.
-		return redundancy.SignResize([]byte("attacker-key"), r.spec.Policy.Min,
-			redundancy.Lower, sb.LastNonce()+1)
+		return redundancy.SignResize([]byte("attacker-key"), r.spec.Policy.Min, redundancy.Lower, last+1)
 	case AttackOutOfBand:
 		// Correctly signed and fresh, but dimensioned past the policy
 		// ceiling: rejected by the band check.
-		return r.camp.Sign(r.spec.Policy.Max+2, redundancy.Raise, sb.LastNonce()+1)
+		return redundancy.SignResize(organKey, r.spec.Policy.Max+2, redundancy.Raise, last+1)
 	default: // AttackReplay
 		// A captured legitimate message played back: the signature
 		// verifies, the stale nonce does not.
-		return r.camp.Sign(r.spec.Policy.Min, redundancy.Lower, sb.LastNonce())
+		return redundancy.SignResize(organKey, r.spec.Policy.Min, redundancy.Lower, last)
 	}
 }
 
@@ -412,13 +389,12 @@ func (r *runner) finish() {
 	}
 	h := r.spec.Horizon
 	r.rec.Record(h, "summary", "scenario", "name=%s seed=%d horizon=%d", r.spec.Name, r.seed, h)
-	if r.camp != nil {
-		res := r.camp.Result()
-		sb := r.camp.Switchboard()
+	if r.organ != nil {
+		raises, lowers := r.sb.Controller().Stats()
 		r.rec.Record(h, "summary", "organ",
 			"rounds=%d failures=%d resizes=%d rejected=%d raises=%d lowers=%d final-n=%d last-nonce=%d",
-			res.Rounds, res.Failures, sb.Resizes(), sb.Rejected(), res.Raises, res.Lowers,
-			sb.Farm().N(), sb.LastNonce())
+			r.organRounds, r.organFailures, r.sb.Resizes(), r.sb.Rejected(), raises, lowers,
+			r.sb.Farm().N(), r.sb.LastNonce())
 	}
 	if r.exec != nil {
 		inv, att, act, swaps, fails := r.exec.Stats()
@@ -442,15 +418,13 @@ func (r *runner) result() *Result {
 		Violations:        r.inv.violations,
 		InvariantsChecked: r.inv.checked,
 	}
-	if r.camp != nil {
-		cres := r.camp.Result()
-		sb := r.camp.Switchboard()
-		res.OrganRounds = cres.Rounds
-		res.OrganFailures = cres.Failures
-		res.Resizes = sb.Resizes()
-		res.RejectedResizes = sb.Rejected()
-		res.Raises, res.Lowers = cres.Raises, cres.Lowers
-		res.FinalRedundancy = sb.Farm().N()
+	if r.organ != nil {
+		res.OrganRounds = r.organRounds
+		res.OrganFailures = r.organFailures
+		res.Resizes = r.sb.Resizes()
+		res.RejectedResizes = r.sb.Rejected()
+		res.Raises, res.Lowers = r.sb.Controller().Stats()
+		res.FinalRedundancy = r.sb.Farm().N()
 	}
 	if r.exec != nil {
 		inv, _, _, swaps, fails := r.exec.Stats()

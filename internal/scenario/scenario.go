@@ -1,9 +1,9 @@
 // Package scenario is the deterministic cross-strategy chaos harness:
 // scripted fault-injection campaigns composed from internal/faults
 // models, driven on internal/simclock, hitting the three strategy
-// implementations at once — the §3.3 redundancy organ (the fused
-// experiments.Campaign engine), a §3.2 accada.AdaptiveExecutor, and
-// watchdog timers.
+// implementations at once — the §3.3 redundancy organ (a voting.Farm
+// behind a redundancy.Switchboard the runner builds and steps itself),
+// a §3.2 accada.AdaptiveExecutor, and watchdog timers.
 //
 // A Scenario is a declarative, JSON-serializable spec: named phases of
 // fault campaigns, each phase steering a stochastic model (Bernoulli,
@@ -14,9 +14,10 @@
 // the golden-transcript tests commit one transcript per builtin
 // scenario and replay them on every run. Invariant checkers evaluate
 // the paper's safety properties every simulated step, and the
-// differential mode replays each scenario's organ track through both
-// the fused campaign engine and the pre-engine reference loop,
-// asserting identical outcomes.
+// differential mode replays each scenario's organ track on two
+// switchboards, one on the fused engine's reusable-buffer voting path
+// and one on the reference loop's heap-ballot path, asserting they
+// agree round for round.
 package scenario
 
 import (
