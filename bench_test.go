@@ -428,14 +428,14 @@ func BenchmarkBatchStep(b *testing.B) {
 // BenchmarkBatchRun measures the batch kernel: Run over 100 000-round
 // chunks at the storm density of a 500k-round Fig. 7 campaign, at
 // several widths, reporting ns/lane-round. Run takes the lanes in
-// groups of four whose background runs at Policy.Min draw together
-// (xrand.Misses4), so on a CPU with AVX2 the per-lane cost at w16 and
-// w32 should be well below w1's, and the same at both. The chunks cross
+// groups of eight whose background runs draw together (xrand.MissesN),
+// so on a CPU with AVX2 or AVX-512F the per-lane cost falls from w2 up
+// and is the same at w8, w16 and w32, well below w1's. The chunks cross
 // storms, raises and lowers, and must report 0 allocs/op (also gated
 // by TestBatchRunZeroAlloc).
 func BenchmarkBatchRun(b *testing.B) {
 	const chunk = 100_000
-	for _, width := range []int{1, 16, 32} {
+	for _, width := range []int{1, 2, 4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
 			cfg := experiments.DefaultFig7Config(500_000)
 			cfg.Steps = int64(b.N)*chunk + 1000
@@ -457,7 +457,7 @@ func BenchmarkBatchRun(b *testing.B) {
 }
 
 // BenchmarkBatchParallel measures SweepSeeds end to end — 32 Fig.
-// 7-style lanes of 100k rounds, in pool tasks of four lanes — at
+// 7-style lanes of 100k rounds, in four pool tasks of eight lanes — at
 // several worker counts, reporting aggregate lane-rounds per second. On
 // a multi-core host the rounds/sec metric scales with cores on top of
 // the batch engine's single-core gain.

@@ -40,6 +40,8 @@ import (
 )
 
 func main() {
+	// No timestamp: the same arguments give the same stderr.
+	log.SetFlags(0)
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // The batch campaign engine: W independent §3.3 campaigns over
-// struct-of-arrays state, run four lanes at a time.
+// struct-of-arrays state, run eight lanes at a time.
 //
 // The scalar fused engine (engine.go) is zero-allocation but pays, per
 // round, an interface dispatch for the corruption source, a
@@ -11,7 +11,7 @@
 // the round loop is straight array code with no interface or closure in
 // sight.
 //
-// Run takes the lanes in groups of four, each lane through the whole
+// Run takes the lanes in groups of eight, each lane through the whole
 // window at its own pace; lanes share no state, so the result is the
 // one lockstep stepping gives. A lane takes its rounds in bulk wherever
 // no outcome can change the organ: the quiet rounds of the background,
@@ -30,14 +30,15 @@
 // compare.
 //
 // Most of a Fig. 7 lane's rounds are one kind of bulk round: the
-// background at Policy.Min, where the streak wraps and only a hit ends
-// the run. A lane parks at such a run, and its group's parked lanes
-// draw together, one xrand.Misses4 call per scan: on CPUs with AVX2 the
-// four storm streams step in one vector register per state word, so a
-// draw costs less than half a scalar one. The streams are independent
+// background, where only a hit, the run's end or (above Policy.Min) the
+// round that would lower the organ ends the run. A lane parks at such a
+// run, and its group's parked lanes draw together, one xrand.MissesN
+// call per scan: on CPUs with AVX-512F the eight storm streams step in
+// one vector register per state word, and with AVX2 in one or two, so
+// a draw costs a fraction of a scalar one. The streams are independent
 // and share only the background's threshold, so a scan is each lane's
 // own bulk run cut at a common length, and each lane is credited its
-// own rounds. Per-lane cost thus falls at widths of four and up; a
+// own rounds. Per-lane cost thus falls at widths of two and up; a
 // one-lane batch draws as before.
 //
 // A round on the per-round path costs what its outcome needs. While
@@ -64,7 +65,7 @@
 // snapshot schema.
 //
 // RunAdaptive runs a one-lane batch, and the seed and replica sweeps
-// and the E8/E10 sweeps run pool tasks of up to four lanes
+// and the E8/E10 sweeps run pool tasks of up to eight lanes
 // (lanesPerTask).
 //
 // A BatchCampaign holds interior pointers into its own slices (the
@@ -87,28 +88,31 @@ import (
 // DefaultBatchWidth is the customary lane count of one batch, the unit
 // the repository's benchmark sizes its seed sweep in (two batches per
 // pass, one per core of a two-core machine). The sweeps do not group
-// lanes by it: they cut a sweep into pool tasks of at most four lanes,
-// the vector width Run scans at (lanesPerTask).
+// lanes by it: they cut a sweep into pool tasks of at most eight lanes,
+// the width Run scans at (lanesPerTask).
 const DefaultBatchWidth = 16
 
 const (
-	// groupWidth is how many lanes Run takes together: the four 64-bit
-	// lanes of an AVX2 register, so one xrand.Misses4 call scans a
-	// whole group.
-	groupWidth = 4
+	// groupWidth is how many lanes Run takes together: the most streams
+	// one xrand.MissesN call scans, the eight 64-bit lanes of an
+	// AVX-512 register, so one call scans a whole group.
+	groupWidth = xrand.MaxStreams
 	// minParkRun is the shortest background run a lane waits for its
 	// group to scan. A parked lane caps its group's next scan at its
-	// own run's length, and a scan costs two 128-byte copies and a
-	// re-park per lane, so a short remainder is drawn alone. Runs at
-	// Policy.Min in a Fig. 7 campaign are thousands of rounds long, and
-	// 64, 256, 1 024 and 4 096 gave the same BenchmarkBatchRun/w16
-	// within noise (1.2–1.7 ns/lane-round on a 2-core Xeon VM).
+	// own run's length, and a scan gathers and scatters the parked
+	// states and re-parks every lane, so a short remainder is drawn
+	// alone. Runs at Policy.Min in a Fig. 7 campaign are thousands of
+	// rounds long, and runs above it up to LowerAfter−1 (999) rounds.
+	// 64, 256 and 1 024 gave BenchmarkBatchRun/w16 0.79, 0.78 and 0.84
+	// ns/lane-round (medians of five interleaved runs on AVX-512F, 2-vCPU
+	// VM), the same within noise.
 	minParkRun = 256
-	// minScanLanes is the fewest parked lanes a scan takes. One
-	// four-wide step costs less than two scalar draws (BenchmarkMisses4:
-	// 0.9 against 2.1 ns per draw, so about 3.6 against 4.2 ns), so two
-	// lanes with two padding slots already gain, and only a lone lane
-	// draws alone.
+	// minScanLanes is the fewest parked lanes a scan takes. A step of
+	// the eight-wide AVX-512F scan costs less than two scalar draws
+	// (BenchmarkMisses8: 0.37 against 1.69 ns per draw, so about 3.0
+	// against 3.4 ns), and the four-wide AVX2 one about as much (0.85
+	// per draw, 3.4 ns), so two lanes with padding slots gain or break
+	// even, and only a lone lane draws alone.
 	minScanLanes = 2
 )
 
@@ -188,7 +192,7 @@ type kernelWork struct {
 	quietRuns  int64 // bulk runs in the background, one lane at a time
 	stormRuns  int64 // bulk runs inside a storm level
 	resizes    int64 // resize messages signed and verified
-	scans      int64 // four-wide scans of parked background runs
+	scans      int64 // scans of parked background runs
 	scanRounds int64 // lane-rounds those scans took in bulk
 }
 
@@ -331,7 +335,7 @@ func (b *BatchCampaign) LaneOutcome(lane int) voting.Outcome { return b.last[lan
 func (b *BatchCampaign) Step() { b.Run(1) }
 
 // Run steps the batch n more rounds. Lanes share no state, so Run takes
-// them a group of four at a time (runGroup), each lane through the
+// them a group of eight at a time (runGroup), each lane through the
 // whole window at its own pace, and every lane ends where lockstep
 // stepping would have left it. Off the sampling grid it performs zero
 // heap allocations.
@@ -348,7 +352,7 @@ func (b *BatchCampaign) Run(n int64) {
 
 // runGroup steps lanes lo..hi-1, at most groupWidth of them, from
 // b.step to end. Each lane runs alone until it reaches end or parks at
-// a background run a scan can take (see parks). Once every lane has,
+// a background run a scan can take (parks). Once every lane has,
 // the parked lanes take their runs together, scan by scan, each from
 // its own round, and run on. Every other lane has reached end when
 // fewer than minScanLanes are parked, so those finish alone, and a
@@ -384,8 +388,8 @@ func (b *BatchCampaign) runGroup(lo, hi int, end int64) {
 
 // runLane steps lane l from round step toward end and returns the round
 // it stopped at. With park set it stops early where it would hand
-// bulkRun a run parks accepts, and also returns the round that run
-// stops at; otherwise it runs to end and returns 0 there.
+// bulkRun a background run parks takes, and also returns the round its
+// parked run stops at; otherwise it runs to end and returns 0 there.
 //
 // A round of the background (no storm in progress, none due) or of a
 // storm level (past the onset round, which draws the storm's shape) is
@@ -412,8 +416,10 @@ func (b *BatchCampaign) runLane(l int, step, end int64, park bool) (int64, int64
 			continue
 		}
 		if limit := b.quietLimit(l, step, end, stop); limit > 0 {
-			if park && !storm && b.parks(l, limit) {
-				return step, step + limit
+			if park && !storm {
+				if run := b.parks(l, limit); run > 0 {
+					return step, step + run
+				}
 			}
 			var hit bool
 			if step, hit = b.bulkRun(l, step, step+limit, rate, k, storm); !hit {
@@ -428,29 +434,40 @@ func (b *BatchCampaign) runLane(l int, step, end int64, park bool) (int64, int64
 	return step, 0
 }
 
-// parks reports whether lane l's background run of limit rounds waits
-// for a four-wide scan: the background draws (0 < p < 1, so it has a
-// threshold), the run is at least minParkRun rounds long, and the
-// controller is at Policy.Min, so the streak wraps (see bulkRun) and
-// only a hit or the run's end stops the lane's draws.
-func (b *BatchCampaign) parks(l int, limit int64) bool {
-	return b.background.thresh != 0 && limit >= minParkRun && b.nCtrl[l] <= b.lanes[l].Policy.Min
+// parks returns how many rounds of lane l's background run of limit
+// rounds wait for a scan, or 0 when the lane draws them alone. The
+// background must draw (0 < p < 1, so it has a threshold). At
+// Policy.Min the streak wraps (see bulkRun), so the whole run parks;
+// above it the parked run stops where bulkRun stops a run, one round
+// before the streak would reach LowerAfter, so the streak stays below
+// LowerAfter in the scan and the lowering round takes the per-round
+// path. A run parks only when it is at least minParkRun rounds long.
+func (b *BatchCampaign) parks(l int, limit int64) int64 {
+	pol := &b.lanes[l].Policy
+	if b.nCtrl[l] > pol.Min {
+		limit = min(limit, int64(pol.LowerAfter)-1-b.quiet[l])
+	}
+	if b.background.thresh == 0 || limit < minParkRun {
+		return 0
+	}
+	return limit
 }
 
 // scan takes the parked lanes of the group at lo through one
-// xrand.Misses4 call on their storm generators, as long as the
-// shortest run any of them has left. A slot no parked lane fills
-// repeats the first parked lane's generator, which then advances as
-// one and hits only where that lane does.
+// xrand.MissesN call on their storm generators, as long as the
+// shortest run any of them has left.
 //
-// It is bulkRun cut at a common length. The four streams are
-// independent and share only the background's threshold, so each lane
-// draws exactly the draws its own bulkRun would, and is credited by
+// It is bulkRun cut at a common length. The streams are independent
+// and share only the background's threshold, so each lane draws
+// exactly the draws its own bulkRun would, and is credited by
 // bulkRun's accounting: m quiet rounds, or m+1 when another lane's hit
 // ended the scan (this lane missed that draw), with the streak wrapped
-// at LowerAfter. A lane that hit takes that round as bulkRun takes a
-// hit: absorbed, or on the per-round path. Every scanned lane is
-// unparked, and runGroup parks it again if its run goes on.
+// at LowerAfter. Above Policy.Min the wrap does nothing, since parks
+// ends such a lane's run before its streak reaches LowerAfter. A lane
+// that hit takes that round as bulkRun takes a hit: absorbed, which
+// resets the streak, or on the per-round path. Every scanned lane is
+// unparked, and runGroup parks it again, with its new room, if its run
+// goes on.
 func (b *BatchCampaign) scan(lo int, at, stop *[groupWidth]int64) {
 	var rngs [groupWidth]*xrand.Rand
 	var slot [groupWidth]int // the group index of each slot's lane
@@ -462,10 +479,7 @@ func (b *BatchCampaign) scan(lo int, at, stop *[groupWidth]int64) {
 			k++
 		}
 	}
-	for i := k; i < groupWidth; i++ {
-		rngs[i] = rngs[0]
-	}
-	m, hits := xrand.Misses4(&rngs, b.background.thresh, n)
+	m, hits := xrand.MissesN(rngs[:k], b.background.thresh, n)
 	var taken int64
 	for i, j := range slot[:k] {
 		l := lo + j
@@ -894,7 +908,7 @@ func runLanesParallel(cfg AdaptiveRunConfig, lanes []BatchLane, workers int) ([]
 // lanesPerTask is how many lanes runLanesParallel puts in one pool
 // task: the lanes spread evenly over the workers, at most groupWidth
 // to a task. A sweep of at least groupWidth lanes per worker runs in
-// groups of four, the width Run scans at, and a worker that finishes
+// groups of eight, the width Run scans at, and a worker that finishes
 // early takes the next group. A smaller sweep gives every worker a
 // share rather than leaving cores idle, down to one lane per task when
 // there are no more lanes than workers. E10's four lanes on two

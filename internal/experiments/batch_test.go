@@ -417,9 +417,14 @@ func decodedLane(snap *checkpoint.Snapshot, err error) (campaignState, error) {
 // kind of storm round: golden keeping a strict majority (with and
 // without a raise, and critical with the organ at Max), golden losing
 // it, and more corrupt replicas than the organ holds. background-1e-3
-// runs seven lanes, so groups of four and of three, whose background
-// hits land inside four-wide scans: a hit that raises, one the organ
-// absorbs, and one lane's hit ending the others' scan.
+// puts background hits inside scans: a hit that raises, one the organ
+// absorbs, and one lane's hit ending the others' scan. nine-lanes runs
+// a group of eight and a group of one, which never parks. Above
+// Policy.Min a lane parks only up to the round before its streak
+// reaches LowerAfter: in above-min-lower, lanes lowering after a storm
+// end parked runs at LowerAfter−1 and lower on the per-round path, and
+// in above-min-absorb, lanes above Min absorb background hits inside
+// scans, which resets their streaks mid-scan.
 func TestBatchRunChunksMatchReference(t *testing.T) {
 	def := redundancy.DefaultPolicy()
 	eager := def
@@ -450,9 +455,18 @@ func TestBatchRunChunksMatchReference(t *testing.T) {
 	peak4 := fig7
 	peak4.Storms.PeakMin = 4
 	peak4.SampleEvery = 50 // the dtof series records rounds no lane raises on
-	sparse, p0, p1, bg := fig7, fig7, fig7, fig7
+	sparse, p0, p1, bg, lower, absorb := fig7, fig7, fig7, fig7, fig7, fig7
 	sparse.Storms.StormP = 0.02
 	bg.Storms.Background = 1e-3
+	// A storm every 3 000 rounds keeps lanes above Min for much of the
+	// window, each lowering Step at a time after LowerAfter quiet rounds.
+	lower.Storms.StormEvery = 3_000
+	lower600 := def
+	lower600.LowerAfter = 600
+	// Above Min, def absorbs a lone background hit (DTOF(5, 1) = 2 > 1),
+	// and wide absorbs one at every size.
+	absorb.Storms.StormEvery = 3_000
+	absorb.Storms.Background = 2e-3
 	p0.Storms.StormP = 0
 	p1.Storms.StormP = 1
 	for _, tc := range []struct {
@@ -471,6 +485,9 @@ func TestBatchRunChunksMatchReference(t *testing.T) {
 		// At Min, wide absorbs a background hit and def and short raise
 		// on one; critical never parks.
 		{"background-1e-3", bg, lanes(def, wide, short, def, wide, eager, critical)},
+		{"nine-lanes", fig7, lanes(def, short, def, eager, def, wide, def, critical, def)},
+		{"above-min-lower", lower, lanes(def, lower600, def, lower600, def)},
+		{"above-min-absorb", absorb, lanes(def, wide, def, lower600, wide)},
 		{"background-0.3", AdaptiveRunConfig{Steps: 20_000, Policy: def, Storms: StormConfig{Background: 0.3}},
 			lanes(def, wide, eager)},
 		{"background-1", AdaptiveRunConfig{Steps: 5_000, Policy: def, Storms: StormConfig{Background: 1}},
@@ -542,12 +559,13 @@ const kernelWorkGolden = "testdata/kernel-work.golden"
 // TestKernelWorkGolden pins what the kernel does for the paper's
 // campaigns at seed 1906: rounds on the per-round path, TallyWords
 // calls, bulk runs in the background and inside storm levels, resize
-// messages, and four-wide scans with the lane-rounds they took. Counts
-// are exact where times drift, so a kernel change that sends more
-// rounds down the per-round path, or scans fewer rounds four-wide,
-// fails here even when every transcript stays the same. The one-lane
-// rows run as RunAdaptive does; fig7-500k-w16 is a 16-lane batch over
-// xrand.Seeds(1906, 16), the shape of the benchmark's seed sweep.
+// messages, and scans with the lane-rounds they took. Counts are exact
+// where times drift, so a kernel change that sends more rounds down
+// the per-round path, or scans fewer lane-rounds, fails here even when
+// every transcript stays the same. The one-lane rows run as RunAdaptive
+// does; fig7-500k-w16 is a 16-lane batch over xrand.Seeds(1906, 16),
+// the shape of the benchmark's seed sweep. The counts do not depend on
+// which scan kernel the CPU runs.
 func TestKernelWorkGolden(t *testing.T) {
 	var got strings.Builder
 	got.WriteString("config per-round tallies quiet-runs storm-runs resizes scans scan-rounds\n")

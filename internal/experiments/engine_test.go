@@ -50,9 +50,9 @@ func TestEngineMatchesReferenceFig7(t *testing.T) {
 // TestEngineSweepParallelSerialReferenceIdentical closes the triangle:
 // the parallel sweep, the serial sweep, and the reference loop must all
 // render the same per-replica Fig. 7 transcripts. Nine replicas run on
-// two workers as pool tasks of four, four and one lane, and on four
-// workers as three tasks of three, so lanes share four-wide scans
-// while other tasks run beside them.
+// one worker as pool tasks of eight and one lane, on two as tasks of
+// five and four, and on four as three tasks of three, so lanes share
+// scans of several widths while other tasks run beside them.
 func TestEngineSweepParallelSerialReferenceIdentical(t *testing.T) {
 	cfg := DefaultFig7Config(60_000)
 	const replicas = 9

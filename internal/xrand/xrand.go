@@ -211,7 +211,7 @@ func (r *Rand) Misses(thresh uint64, n int64) (misses int64, hit bool) {
 
 // HitThreshold returns the integer t with u < t exactly when draw u,
 // read as Float64 reads it, falls below p, for 0 < p < 1: the hit test
-// of Misses and Misses4, computed once per probability. Float64 is
+// of Misses and MissesN, computed once per probability. Float64 is
 // (u>>11)/2^53, so the test is u>>11 < p·2^53; the scaling is exact,
 // and u>>11 is an integer, so that holds exactly when u>>11 <
 // ⌈p·2^53⌉, that is when u < ⌈p·2^53⌉·2^11. p < 1 keeps ⌈p·2^53⌉ at
