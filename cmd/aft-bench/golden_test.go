@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"aft/internal/experiments"
 )
 
 // -update rewrites the committed figure golden. Workflow: change a
@@ -42,5 +44,35 @@ func TestFiguresGolden(t *testing.T) {
 	}
 	if string(want) != out.String() {
 		t.Fatalf("figures deviate from golden %s\n--- got\n%s", path, out.String())
+	}
+}
+
+// TestFig7ReferenceMatchesGolden holds the kernel to its oracle at the
+// paper's full length: the reference loop's 65 M-round Fig. 7 must
+// render the Fig. 7 section of the figure golden, the section
+// TestFiguresGolden pins the kernel's run to. The reference loop is the
+// slowest engine: this takes about 7 s on a 2-vCPU VM (about 42 s under
+// -race), and skips under -short.
+func TestFig7ReferenceMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the reference loop for 65 M rounds")
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "figures.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, ok := strings.Cut(string(golden), "\n================ 7 ================\n(running 65000000 rounds)\n")
+	if !ok {
+		t.Fatal("figure golden has no 65 M-round Fig. 7 section")
+	}
+	want, _, _ = strings.Cut(want, "\n\n")
+	want += "\n"
+	cfg := experiments.DefaultFig7Config(65_000_000)
+	res, err := experiments.RunAdaptiveReference(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := experiments.RenderFig7(res, cfg.Policy.Min); got != want {
+		t.Fatalf("the reference loop deviates from the golden's Fig. 7\n--- got\n%s\n--- want\n%s", got, want)
 	}
 }

@@ -44,8 +44,8 @@
 // Usage:
 //
 //	aft-serve [-addr HOST:PORT] [-store DIR] [-workers N]
-//	          [-checkpoint-every ROUNDS] [-scheduler fair|fifo]
-//	          [-rate-limit RPS] [-rate-burst N] [-max-queued N]
+//	          [-checkpoint-every ROUNDS] [-rate-limit RPS]
+//	          [-rate-burst N] [-max-queued N]
 package main
 
 import (
@@ -84,7 +84,6 @@ func run(args []string, stdout io.Writer) error {
 	coordinator := fs.Bool("coordinator", false, "pure-coordinator mode: run no in-process holders; jobs execute only on leased aft-worker processes")
 	leaseTTL := fs.Duration("lease-ttl", 0, "lease duration between heartbeats, for in-process holders and fleet workers alike (0 = 10s)")
 	shardRounds := fs.Int64("shard-rounds", 0, "max campaign rounds per lease; longer campaigns are sharded across the fleet (0 = whole campaign per lease)")
-	scheduler := fs.String("scheduler", "", "dispatch discipline: fair (priority + per-client weighted round-robin, the default) or fifo (strict submission order)")
 	rateLimit := fs.Float64("rate-limit", 0, "per-client submission rate cap in requests/sec; over-limit submits get 429 with Retry-After (0 = off)")
 	rateBurst := fs.Int("rate-burst", 0, "per-client token-bucket burst size when -rate-limit is on (values < 1 become 1)")
 	maxQueued := fs.Int("max-queued", 0, "admission queue depth cap: new submissions beyond this many queued jobs get 429 (0 = unlimited)")
@@ -99,7 +98,6 @@ func run(args []string, stdout io.Writer) error {
 		DisableLocalPool: *coordinator,
 		LeaseTTL:         *leaseTTL,
 		ShardRounds:      *shardRounds,
-		Scheduler:        *scheduler,
 		RateLimit:        *rateLimit,
 		RateBurst:        *rateBurst,
 		MaxQueued:        *maxQueued,

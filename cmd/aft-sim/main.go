@@ -8,12 +8,10 @@
 // summaries plus the aggregate; replica i's result depends only on
 // (seed, i), never on the worker count.
 //
-// Single runs execute on the batch kernel (experiments.RunAdaptive) by
-// default; -engine reference selects the pre-engine loop
-// (experiments.RunAdaptiveReference) for differential runs. The header
-// line names the engine; everything below it (the Fig. 6/7 transcripts)
-// is byte-identical across engines, so compare with `diff <(aft-sim ...
-// | tail -n +2) <(aft-sim -engine reference ... | tail -n +2)`.
+// Runs execute on the batch kernel (experiments.RunAdaptive). The
+// kernel's agreement with the reference loop, the oracle, is held by
+// Go tests: TestEngineMatchesReferenceFig7 in internal/experiments and
+// TestFig7ReferenceMatchesGolden in cmd/aft-bench.
 //
 // A run keeps no checkpoint: the paper's full 65 M rounds take well
 // under a second on the kernel, so a killed run is rerun from its
@@ -23,7 +21,7 @@
 // Usage:
 //
 //	aft-sim [-steps N] [-seed S] [-sample K] [-storm-every N] [-max-level L]
-//	        [-replicas R] [-parallel W] [-engine batch|reference]
+//	        [-replicas R] [-parallel W]
 package main
 
 import (
@@ -56,34 +54,18 @@ func run(args []string, stdout io.Writer) error {
 	maxLevel := fs.Int("max-level", 4, "maximum storm intensity level")
 	replicas := fs.Int("replicas", 1, "independent replicas of the campaign")
 	parallel := fs.Int("parallel", 0, "worker pool for replicas (0 = one per CPU)")
-	engine := fs.String("engine", "batch", "campaign engine for single runs: batch (the kernel) or reference (pre-engine loop)")
 	if done, err := cli.Parse(fs, args, stdout); done {
 		return err
 	}
 
-	runAdaptive := experiments.RunAdaptive
-	switch *engine {
-	case "batch":
-	case "reference":
-		runAdaptive = experiments.RunAdaptiveReference
-	default:
-		return fmt.Errorf("unknown engine %q (want batch or reference)", *engine)
-	}
-
 	cfg := stormConfig(*steps, *seed, *sample, *stormEvery, *maxLevel)
 	if *replicas > 1 {
-		// The sweep rides the batch engine; refuse the conflicting flag
-		// rather than silently ignoring it (transcripts are
-		// engine-independent, but a differential run should say so).
-		if *engine != "batch" {
-			return fmt.Errorf("-engine %s applies to single runs only; the -replicas sweep always uses the batch engine", *engine)
-		}
 		return runReplicas(cfg, *replicas, *parallel, stdout)
 	}
 
-	fmt.Fprintf(stdout, "running %d rounds (seed %d, storms every %d rounds, max level %d, %s engine)\n",
-		cfg.Steps, cfg.Seed, cfg.Storms.StormEvery, cfg.Storms.MaxLevel, *engine)
-	res, err := runAdaptive(cfg)
+	fmt.Fprintf(stdout, "running %d rounds (seed %d, storms every %d rounds, max level %d)\n",
+		cfg.Steps, cfg.Seed, cfg.Storms.StormEvery, cfg.Storms.MaxLevel)
+	res, err := experiments.RunAdaptive(cfg)
 	if err != nil {
 		return err
 	}

@@ -1,15 +1,19 @@
-// The batch campaign engine: W independent §3.3 campaigns over
-// struct-of-arrays state, run eight lanes at a time.
+// The batch campaign engine: W independent §3.3 campaigns, one lane
+// struct each, run eight lanes at a time.
 //
 // The scalar fused engine (engine.go) is zero-allocation but pays, per
-// round, an interface dispatch for the corruption source, a
-// pointer-chase through Switchboard -> Controller/Farm, and n ballot
-// writes plus an n-wide scan even on the all-quiet rounds that make up
-// 98% of the rounds of a scaled Fig. 7 campaign. BatchCampaign removes
-// all three: every lane's state — PRNG words, controller counters, nonce
-// watermarks, occupancy rows — lives in flat slices indexed by lane, and
-// the round loop is straight array code with no interface or closure in
-// sight.
+// round, a pointer-chase through Switchboard -> Controller/Farm, and n
+// ballot writes plus an n-wide scan even on the all-quiet rounds that
+// make up 98% of the rounds of a scaled Fig. 7 campaign. BatchCampaign
+// removes both. Each lane is one struct that holds its whole campaign:
+// its storm generator, which owns its PRNG words; its corruption-value
+// stream; its switchboard state (controller target and streak, farm
+// size, decision and nonce counters) as one redundancy.SwitchboardState;
+// its occupancy row and series. The round loop is straight code on that
+// struct, with no interface or closure in sight. No lane points into
+// another or into a shared slice, so a lane's state is a plain value:
+// it snapshots, restores and folds into a result through the
+// campaignState every engine shares (snapshot.go).
 //
 // Run takes the lanes in groups of eight, each lane through the whole
 // window at its own pace; lanes share no state, so the result is the
@@ -67,10 +71,6 @@
 // RunAdaptive runs a one-lane batch, and the seed and replica sweeps
 // and the E8/E10 sweeps run pool tasks of up to eight lanes
 // (lanesPerTask).
-//
-// A BatchCampaign holds interior pointers into its own slices (the
-// per-lane storm generators alias stormRng), so it must not be copied
-// after construction.
 
 package experiments
 
@@ -129,37 +129,16 @@ type BatchLane struct {
 	Policy redundancy.Policy
 }
 
-// BatchCampaign runs W independent campaigns over struct-of-arrays
-// state; every lane is always at the same round. Construct with
+// BatchCampaign runs W independent campaigns, one lane struct each;
+// every lane is at the same round between Run calls. Construct with
 // NewBatchCampaign or NewBatchCampaignLanes, drive with Step/Run/RunAll,
-// and harvest one AdaptiveRunResult per lane with Result. Do not copy a
-// constructed BatchCampaign.
+// and harvest one AdaptiveRunResult per lane with Result.
 type BatchCampaign struct {
 	cfg   AdaptiveRunConfig // Seed and Policy are per-lane; see lanes
-	lanes []BatchLane
+	lanes []lane
 
 	// step is the round every lane has reached between Run calls.
 	step int64
-
-	// Per-lane struct-of-arrays state, all indexed by lane.
-	storms   []storms     // storm generators; rng aliases stormRng
-	stormRng []xrand.Rand // storm-generator PRNG words, flat
-	crng     []xrand.Rand // corruption-value PRNG words, flat
-
-	nCtrl []int   // controller target dimensioning
-	nFarm []int   // organ dimensioning actually in force
-	quiet []int64 // consecutive full-consensus streak
-
-	raises, lowers    []int64 // controller decision counters
-	lastNonce         []uint64
-	resizes, rejected []int64
-	farmRounds        []int64
-	farmFailures      []int64
-	failures          []int64
-	replicaRounds     []int64
-	occ               []int64 // occupancy rows, stride slots per lane
-	stride            int
-	red, dtof         []*metrics.Series // nil unless cfg.SampleEvery > 0
 
 	// background and storm are the storm regime's two hit rates,
 	// converted once per batch.
@@ -173,14 +152,34 @@ type BatchCampaign struct {
 	vals    []uint64
 	ballots []uint64
 
-	// record/last capture per-lane outcomes for the differential tests;
+	// record captures each lane's outcome for the differential tests;
 	// off by default to keep the hot loop free of the stores.
 	record bool
-	last   []voting.Outcome
 
 	// work counts what the kernel did, over every lane, for the kernel
 	// work golden. It is in no snapshot and no output.
 	work kernelWork
+}
+
+// lane is one campaign of a batch: everything its future and its result
+// depend on, besides the shared configuration and round.
+type lane struct {
+	BatchLane
+	// storms owns the lane's storm PRNG; crng is its corruption-value
+	// stream.
+	storms storms
+	crng   xrand.Rand
+	// sb is the switchboard: controller target, quiet streak and
+	// decisions, farm size and counters, and the resize nonce watermark.
+	sb redundancy.SwitchboardState
+
+	failures, replicaRounds int64
+	// occ counts rounds by replica count, Policy.Max+1 slots.
+	occ       []int64
+	red, dtof *metrics.Series // nil unless cfg.SampleEvery > 0
+
+	// last is the lane's most recent outcome while the batch records.
+	last voting.Outcome
 }
 
 // kernelWork counts the kernel's units of work. Each counter moves once
@@ -237,63 +236,34 @@ func NewBatchCampaignLanes(cfg AdaptiveRunConfig, lanes []BatchLane) (*BatchCamp
 		return nil, fmt.Errorf("experiments: batch needs at least one lane")
 	}
 	maxMax := 0
-	for i, lane := range lanes {
-		if err := lane.Policy.Validate(); err != nil {
+	for i, bl := range lanes {
+		if err := bl.Policy.Validate(); err != nil {
 			return nil, fmt.Errorf("experiments: lane %d: %w", i, err)
 		}
-		if lane.Policy.Max > maxMax {
-			maxMax = lane.Policy.Max
-		}
+		maxMax = max(maxMax, bl.Policy.Max)
 	}
-	w := len(lanes)
 	b := &BatchCampaign{
-		cfg:           cfg,
-		lanes:         append([]BatchLane(nil), lanes...),
-		storms:        make([]storms, w),
-		stormRng:      make([]xrand.Rand, w),
-		crng:          make([]xrand.Rand, w),
-		nCtrl:         make([]int, w),
-		nFarm:         make([]int, w),
-		quiet:         make([]int64, w),
-		raises:        make([]int64, w),
-		lowers:        make([]int64, w),
-		lastNonce:     make([]uint64, w),
-		resizes:       make([]int64, w),
-		rejected:      make([]int64, w),
-		farmRounds:    make([]int64, w),
-		farmFailures:  make([]int64, w),
-		failures:      make([]int64, w),
-		replicaRounds: make([]int64, w),
-		stride:        maxMax + 1,
-		background:    newHitRate(cfg.Storms.Background),
-		storm:         newHitRate(cfg.Storms.StormP),
-		signer:        redundancy.NewResizeSigner(campaignKey),
-		words:         make([]uint64, voting.DissentWords(maxMax)),
-		vals:          make([]uint64, maxMax),
-		ballots:       make([]uint64, maxMax),
-		last:          make([]voting.Outcome, w),
+		cfg:        cfg,
+		lanes:      make([]lane, len(lanes)),
+		background: newHitRate(cfg.Storms.Background),
+		storm:      newHitRate(cfg.Storms.StormP),
+		signer:     redundancy.NewResizeSigner(campaignKey),
+		words:      make([]uint64, voting.DissentWords(maxMax)),
+		vals:       make([]uint64, maxMax),
+		ballots:    make([]uint64, maxMax),
 	}
-	b.occ = make([]int64, w*b.stride)
-	if cfg.SampleEvery > 0 {
-		b.red = make([]*metrics.Series, w)
-		b.dtof = make([]*metrics.Series, w)
-		for i := range b.red {
-			b.red[i] = metrics.NewSeries("redundancy")
-			b.dtof[i] = metrics.NewSeries("dtof")
-		}
-	}
-	for i := range b.lanes {
+	for i, bl := range lanes {
 		// Stream discipline matches NewCampaign exactly: the storm
 		// generator splits off the lane's root stream first, the
 		// corruption-value stream second.
-		root := xrand.New(b.lanes[i].Seed)
-		env := newStorms(cfg.Storms, root)
-		b.stormRng[i] = *env.rng
-		b.storms[i] = *env
-		b.storms[i].rng = &b.stormRng[i]
-		b.crng[i] = *root.Split()
-		b.nCtrl[i] = b.lanes[i].Policy.Min
-		b.nFarm[i] = b.lanes[i].Policy.Min
+		root := xrand.New(bl.Seed)
+		l := &b.lanes[i]
+		l.BatchLane = bl
+		l.storms = *newStorms(cfg.Storms, root)
+		l.crng = *root.Split()
+		l.sb.Controller.N, l.sb.Farm.Replicas = bl.Policy.Min, bl.Policy.Min
+		l.occ = make([]int64, bl.Policy.Max+1)
+		l.red, l.dtof = newSeries(cfg)
 	}
 	return b, nil
 }
@@ -302,7 +272,7 @@ func NewBatchCampaignLanes(cfg AdaptiveRunConfig, lanes []BatchLane) (*BatchCamp
 func (b *BatchCampaign) Width() int { return len(b.lanes) }
 
 // Lane returns the descriptor of one lane.
-func (b *BatchCampaign) Lane(i int) BatchLane { return b.lanes[i] }
+func (b *BatchCampaign) Lane(i int) BatchLane { return b.lanes[i].BatchLane }
 
 // Rounds reports how many rounds have been run so far (every lane has
 // run exactly this many).
@@ -329,7 +299,7 @@ func (b *BatchCampaign) RecordOutcomes(on bool) { b.record = on }
 // LaneOutcome returns the lane's outcome of the most recent Step.
 // Outcomes are only captured while RecordOutcomes(true) is in force;
 // the Votes field is always nil.
-func (b *BatchCampaign) LaneOutcome(lane int) voting.Outcome { return b.last[lane] }
+func (b *BatchCampaign) LaneOutcome(lane int) voting.Outcome { return b.lanes[lane].last }
 
 // Step runs one round of every lane; it is Run(1).
 func (b *BatchCampaign) Step() { b.Run(1) }
@@ -345,12 +315,12 @@ func (b *BatchCampaign) Run(n int64) {
 	}
 	end := b.step + n
 	for lo := 0; lo < len(b.lanes); lo += groupWidth {
-		b.runGroup(lo, min(lo+groupWidth, len(b.lanes)), end)
+		b.runGroup(b.lanes[lo:min(lo+groupWidth, len(b.lanes))], end)
 	}
 	b.step = end
 }
 
-// runGroup steps lanes lo..hi-1, at most groupWidth of them, from
+// runGroup steps the lanes of g, at most groupWidth of them, from
 // b.step to end. Each lane runs alone until it reaches end or parks at
 // a background run a scan can take (parks). Once every lane has,
 // the parked lanes take their runs together, scan by scan, each from
@@ -358,17 +328,17 @@ func (b *BatchCampaign) Run(n int64) {
 // fewer than minScanLanes are parked, so those finish alone, and a
 // one-lane group never parks: RunAdaptive's one-lane batch draws as
 // the scalar bulkRun does.
-func (b *BatchCampaign) runGroup(lo, hi int, end int64) {
+func (b *BatchCampaign) runGroup(g []lane, end int64) {
 	var at, stop [groupWidth]int64 // each lane's round; its parked run's end, or 0
 	for j := range at {
 		at[j] = b.step
 	}
-	park := hi-lo >= minScanLanes
+	park := len(g) >= minScanLanes
 	for {
 		parked := 0
-		for j := range hi - lo {
+		for j := range g {
 			if stop[j] == 0 {
-				at[j], stop[j] = b.runLane(lo+j, at[j], end, park)
+				at[j], stop[j] = b.runLane(&g[j], at[j], end, park)
 			}
 			if stop[j] != 0 {
 				parked++
@@ -377,11 +347,11 @@ func (b *BatchCampaign) runGroup(lo, hi int, end int64) {
 		if parked < minScanLanes {
 			break
 		}
-		b.scan(lo, &at, &stop)
+		b.scan(g, &at, &stop)
 	}
-	for j := range hi - lo {
+	for j := range g {
 		if stop[j] != 0 {
-			b.runLane(lo+j, at[j], end, false)
+			b.runLane(&g[j], at[j], end, false)
 		}
 	}
 }
@@ -401,8 +371,8 @@ func (b *BatchCampaign) runGroup(lo, hi int, end int64) {
 // round, the round whose streak would lower the organ, a hit that
 // raises or loses golden's majority (already drawn) — takes the
 // per-round path, and so do the onset round and the round a storm ends.
-func (b *BatchCampaign) runLane(l int, step, end int64, park bool) (int64, int64) {
-	st := &b.storms[l]
+func (b *BatchCampaign) runLane(l *lane, step, end int64, park bool) (int64, int64) {
+	st := &l.storms
 	for step < end {
 		rate, k, stop := b.background, 1, st.nextOnset
 		storm := st.inStorm && step > st.onset && step < st.stormEnd
@@ -442,10 +412,9 @@ func (b *BatchCampaign) runLane(l int, step, end int64, park bool) (int64, int64
 // before the streak would reach LowerAfter, so the streak stays below
 // LowerAfter in the scan and the lowering round takes the per-round
 // path. A run parks only when it is at least minParkRun rounds long.
-func (b *BatchCampaign) parks(l int, limit int64) int64 {
-	pol := &b.lanes[l].Policy
-	if b.nCtrl[l] > pol.Min {
-		limit = min(limit, int64(pol.LowerAfter)-1-b.quiet[l])
+func (b *BatchCampaign) parks(l *lane, limit int64) int64 {
+	if c := &l.sb.Controller; c.N > l.Policy.Min {
+		limit = min(limit, int64(l.Policy.LowerAfter-1-c.Quiet))
 	}
 	if b.background.thresh == 0 || limit < minParkRun {
 		return 0
@@ -453,9 +422,9 @@ func (b *BatchCampaign) parks(l int, limit int64) int64 {
 	return limit
 }
 
-// scan takes the parked lanes of the group at lo through one
-// xrand.MissesN call on their storm generators, as long as the
-// shortest run any of them has left.
+// scan takes the parked lanes of group g through one xrand.MissesN call
+// on their storm generators, as long as the shortest run any of them
+// has left.
 //
 // It is bulkRun cut at a common length. The streams are independent
 // and share only the background's threshold, so each lane draws
@@ -468,13 +437,13 @@ func (b *BatchCampaign) parks(l int, limit int64) int64 {
 // resets the streak, or on the per-round path. Every scanned lane is
 // unparked, and runGroup parks it again, with its new room, if its run
 // goes on.
-func (b *BatchCampaign) scan(lo int, at, stop *[groupWidth]int64) {
+func (b *BatchCampaign) scan(g []lane, at, stop *[groupWidth]int64) {
 	var rngs [groupWidth]*xrand.Rand
 	var slot [groupWidth]int // the group index of each slot's lane
 	k, n := 0, int64(math.MaxInt64)
 	for j, s := range stop {
 		if s != 0 {
-			rngs[k], slot[k] = b.storms[lo+j].rng, j
+			rngs[k], slot[k] = &g[j].storms.rng, j
 			n = min(n, s-at[j])
 			k++
 		}
@@ -482,20 +451,20 @@ func (b *BatchCampaign) scan(lo int, at, stop *[groupWidth]int64) {
 	m, hits := xrand.MissesN(rngs[:k], b.background.thresh, n)
 	var taken int64
 	for i, j := range slot[:k] {
-		l := lo + j
+		l := &g[j]
 		rounds, hit := m, hits>>i&1 != 0
 		if hits != 0 && !hit {
 			rounds++
 		}
-		quiet := b.quiet[l] + rounds
+		quiet := int64(l.sb.Controller.Quiet) + rounds
 		if hit {
-			if kk, ok := b.absorbs(l, 1); ok {
-				corrupt(&b.crng[l], at[j]+rounds, kk)
+			if kk, ok := l.absorbs(1); ok {
+				corrupt(&l.crng, at[j]+rounds, kk)
 				quiet, hit = 0, false
 				rounds++
 			}
 		}
-		b.credit(l, rounds, quiet%int64(b.lanes[l].Policy.LowerAfter))
+		l.credit(rounds, quiet%int64(l.Policy.LowerAfter))
 		taken += rounds
 		at[j] += rounds
 		if hit {
@@ -517,18 +486,18 @@ func (b *BatchCampaign) scan(lo int, at, stop *[groupWidth]int64) {
 // round). Otherwise it reaches the window's end, stop (when not
 // negative) or the next sample-grid round, whichever comes first;
 // bulkRun keeps the streak below LowerAfter inside the run.
-func (b *BatchCampaign) quietLimit(l int, step, end, stop int64) int64 {
-	p := &b.lanes[l].Policy
-	if b.record || voting.MaxDTOF(b.nFarm[l]) <= p.CriticalDTOF ||
-		(b.nCtrl[l] > p.Min && b.quiet[l] >= int64(p.LowerAfter)-1) {
+func (b *BatchCampaign) quietLimit(l *lane, step, end, stop int64) int64 {
+	p, c := &l.Policy, &l.sb.Controller
+	if b.record || voting.MaxDTOF(l.sb.Farm.Replicas) <= p.CriticalDTOF ||
+		(c.N > p.Min && c.Quiet >= p.LowerAfter-1) {
 		return 0
 	}
 	limit := end - step
 	if stop >= 0 && stop-step < limit {
 		limit = stop - step
 	}
-	if b.red != nil {
-		if d := (b.cfg.SampleEvery - step%b.cfg.SampleEvery) % b.cfg.SampleEvery; d < limit {
+	if se := b.cfg.SampleEvery; se > 0 {
+		if d := (se - step%se) % se; d < limit {
 			limit = d
 		}
 	}
@@ -545,17 +514,17 @@ func (b *BatchCampaign) quietLimit(l int, step, end, stop int64) int64 {
 // LowerAfter. The counters advance once for the whole run (credit).
 // bulkRun returns the round it stopped at and whether that round is a
 // hit it did not absorb, which the caller runs on the per-round path.
-func (b *BatchCampaign) bulkRun(l int, step, stop int64, rate hitRate, k int, storm bool) (int64, bool) {
+func (b *BatchCampaign) bulkRun(l *lane, step, stop int64, rate hitRate, k int, storm bool) (int64, bool) {
 	if storm {
 		b.work.stormRuns++
 	} else {
 		b.work.quietRuns++
 	}
-	pol := &b.lanes[l].Policy
-	kk, absorb := b.absorbs(l, k)
-	wrap := b.nCtrl[l] <= pol.Min
-	rng, crng := b.storms[l].rng, &b.crng[l]
-	from, quiet, hit := step, b.quiet[l], false
+	pol := &l.Policy
+	kk, absorb := l.absorbs(k)
+	wrap := l.sb.Controller.N <= pol.Min
+	rng := &l.storms.rng
+	from, quiet, hit := step, int64(l.sb.Controller.Quiet), false
 	for step < stop {
 		limit := stop - step
 		if !wrap {
@@ -581,27 +550,26 @@ func (b *BatchCampaign) bulkRun(l int, step, stop int64, rate hitRate, k int, st
 		if !absorb {
 			break
 		}
-		corrupt(crng, step, kk)
+		corrupt(&l.crng, step, kk)
 		hit, quiet = false, 0
 		step++
 	}
 	if wrap {
 		quiet %= int64(pol.LowerAfter)
 	}
-	b.credit(l, step-from, quiet)
+	l.credit(step-from, quiet)
 	return step, hit
 }
 
-// absorbs reports how many replicas a hit on lane l corrupting k of
-// them corrupts, kk = min(k, n), and whether the organ absorbs it: with
+// absorbs reports how many replicas a hit corrupting k of them
+// corrupts, kk = min(k, n), and whether the organ absorbs it: with
 // golden keeping a strict majority, and its dtof above critical or the
 // controller already at Max, Decide orders no resize and only resets
 // the streak.
-func (b *BatchCampaign) absorbs(l, k int) (int, bool) {
-	pol := &b.lanes[l].Policy
-	n := b.nFarm[l]
+func (l *lane) absorbs(k int) (int, bool) {
+	n := l.sb.Farm.Replicas
 	kk := min(k, n)
-	return kk, n-kk > n/2 && (voting.DTOF(n, kk) > pol.CriticalDTOF || b.nCtrl[l] >= pol.Max)
+	return kk, n-kk > n/2 && (voting.DTOF(n, kk) > l.Policy.CriticalDTOF || l.sb.Controller.N >= l.Policy.Max)
 }
 
 // corrupt draws an absorbed hit's kk corrupt values for round step, in
@@ -613,14 +581,15 @@ func corrupt(crng *xrand.Rand, step int64, kk int) {
 	}
 }
 
-// credit adds rounds bulk rounds at lane l's organ size to its
-// counters, once for the whole run, and leaves its streak at quiet.
-func (b *BatchCampaign) credit(l int, rounds, quiet int64) {
-	n := b.nFarm[l]
-	b.farmRounds[l] += rounds
-	b.replicaRounds[l] += rounds * int64(n)
-	b.occ[l*b.stride+n] += rounds
-	b.quiet[l] = quiet
+// credit adds rounds bulk rounds at the lane's organ size to its
+// counters, once for the whole run, and leaves its streak at quiet,
+// which is below LowerAfter.
+func (l *lane) credit(rounds, quiet int64) {
+	n := l.sb.Farm.Replicas
+	l.sb.Farm.Rounds += rounds
+	l.replicaRounds += rounds * int64(n)
+	l.occ[n] += rounds
+	l.sb.Controller.Quiet = int(quiet)
 }
 
 // laneRound runs round step of lane l with k replicas corrupted (k is
@@ -630,16 +599,15 @@ func (b *BatchCampaign) credit(l int, rounds, quiet int64) {
 // always when k = 0) the outcome follows from n and k alone — it is the
 // one TallyWords's strict-majority branch returns — so the values go
 // unused; only a round where golden lacks a strict majority packs its
-// ballots and tallies them.
-func (b *BatchCampaign) laneRound(l int, step int64, k int) {
+// ballots and tallies them. The outcome is then sampled, the policy
+// kernel decides, and any resize is applied.
+func (b *BatchCampaign) laneRound(l *lane, step int64, k int) {
 	b.work.perRound++
 	golden := identity(uint64(step))
-	sample := b.red != nil && step%b.cfg.SampleEvery == 0
-	n := b.nFarm[l]
+	n := l.sb.Farm.Replicas
 	k = min(k, n)
-	crng := &b.crng[l]
 	for i := 0; i < k; i++ {
-		b.vals[i] = voting.CorruptValue(golden, crng)
+		b.vals[i] = voting.CorruptValue(golden, &l.crng)
 	}
 	var o voting.Outcome
 	if n-k > n/2 {
@@ -652,39 +620,33 @@ func (b *BatchCampaign) laneRound(l int, step int64, k int) {
 		voting.SetFirstK(b.words, k)
 		o = voting.TallyWords(n, golden, b.words, b.vals[:k], b.ballots)
 		if o.Failed() {
-			b.farmFailures[l]++
-			b.failures[l]++
+			l.sb.Farm.Failures++
+			l.failures++
 		}
 	}
-	b.farmRounds[l]++
-	b.replicaRounds[l] += int64(n)
-	b.occ[l*b.stride+n]++
-	b.finishRound(l, step, sample, o)
-}
-
-// finishRound is the shared tail of the slow paths: sample the outcome,
-// run the policy kernel, apply any resize, and capture the outcome when
-// recording.
-func (b *BatchCampaign) finishRound(l int, step int64, sample bool, o voting.Outcome) {
-	if sample {
-		b.red[l].Append(step, float64(o.N))
-		b.dtof[l].Append(step, float64(o.DTOF))
+	l.sb.Farm.Rounds++
+	l.replicaRounds += int64(n)
+	l.occ[n]++
+	if l.red != nil && step%b.cfg.SampleEvery == 0 {
+		l.red.Append(step, float64(o.N))
+		l.dtof.Append(step, float64(o.DTOF))
 	}
-	newN, newQuiet, dir := b.lanes[l].Policy.Decide(b.nCtrl[l], int(b.quiet[l]), o.DTOF, o.Dissent)
-	b.quiet[l] = int64(newQuiet)
+	c := &l.sb.Controller
+	newN, quiet, dir := l.Policy.Decide(c.N, c.Quiet, o.DTOF, o.Dissent)
+	c.Quiet = quiet
 	if dir != 0 {
-		b.nCtrl[l] = newN
+		c.N = newN
 		switch dir {
 		case redundancy.Raise:
-			b.raises[l]++
+			c.Raises++
 		case redundancy.Lower:
-			b.lowers[l]++
+			c.Lowers++
 		}
 		b.applyResize(l, newN, dir)
 	}
 	if b.record {
 		o.Votes = nil
-		b.last[l] = o
+		l.last = o
 	}
 }
 
@@ -694,59 +656,53 @@ func (b *BatchCampaign) finishRound(l int, step int64, sample bool, o voting.Out
 // maximum nonce is rejected exactly as the scalar switchboard rejects
 // it, so a lane restored near the end of the nonce space stays in
 // lockstep with its scalar twin.
-func (b *BatchCampaign) applyResize(l, newN int, dir redundancy.Direction) {
+func (b *BatchCampaign) applyResize(l *lane, newN int, dir redundancy.Direction) {
 	b.work.resizes++
-	nonce := b.lastNonce[l] + 1
+	nonce := l.sb.LastNonce + 1
 	req := b.signer.Sign(newN, dir, nonce)
 	if err := b.signer.Verify(req); err != nil {
 		// Unreachable: the same key signs and verifies.
 		panic(err)
 	}
-	if nonce <= b.lastNonce[l] || nonce == ^uint64(0) {
+	if nonce <= l.sb.LastNonce || nonce == ^uint64(0) {
 		// nonce wrapped past the watermark (replay check) or hit the
 		// reserved maximum — the scalar Apply rejects both.
-		b.rejected[l]++
+		l.sb.Rejected++
 		return
 	}
-	b.lastNonce[l] = nonce
-	b.resizes[l]++
-	b.nFarm[l] = newN
+	l.sb.LastNonce = nonce
+	l.sb.Resizes++
+	l.sb.Farm.Replicas = newN
 }
 
 // RunAll steps the batch through every remaining configured round.
 func (b *BatchCampaign) RunAll() { b.Run(b.Remaining()) }
 
-// laneConfig is the scalar configuration one lane is equivalent to.
-func (b *BatchCampaign) laneConfig(lane int) AdaptiveRunConfig {
+// state is lane i's campaign state: the state of the scalar campaign
+// run with the lane's seed and policy, which the lane is equivalent to.
+func (b *BatchCampaign) state(i int) campaignState {
+	l := &b.lanes[i]
 	cfg := b.cfg
-	cfg.Seed = b.lanes[lane].Seed
-	cfg.Policy = b.lanes[lane].Policy
-	return cfg
+	cfg.Seed, cfg.Policy = l.Seed, l.Policy
+	return campaignState{
+		engine:        engineBatch,
+		cfg:           cfg,
+		step:          b.step,
+		failures:      l.failures,
+		replicaRounds: l.replicaRounds,
+		occupancy:     l.occ,
+		sb:            l.sb,
+		storms:        l.storms,
+		crng:          l.crng,
+		red:           l.red,
+		dtof:          l.dtof,
+	}
 }
 
-// Result folds one lane's counters into the AdaptiveRunResult shape
-// shared with the scalar engines; it is field-identical to the Result
-// of a scalar campaign run with laneConfig(lane).
-func (b *BatchCampaign) Result(lane int) AdaptiveRunResult {
-	res := AdaptiveRunResult{
-		Hist:          metrics.NewIntHistogram(),
-		Rounds:        b.step,
-		Failures:      b.failures[lane],
-		ReplicaRounds: b.replicaRounds[lane],
-	}
-	if b.red != nil {
-		res.Redundancy = b.red[lane]
-		res.DTOF = b.dtof[lane]
-	}
-	for n := 0; n < b.stride; n++ {
-		if cnt := b.occ[lane*b.stride+n]; cnt > 0 {
-			res.Hist.ObserveN(n, cnt)
-		}
-	}
-	res.Raises, res.Lowers = b.raises[lane], b.lowers[lane]
-	res.MinFraction = res.Hist.Fraction(b.lanes[lane].Policy.Min)
-	return res
-}
+// Result folds one lane's state into the AdaptiveRunResult shape shared
+// with the scalar engines; it is field-identical to the Result of a
+// scalar campaign run with the lane's seed and policy.
+func (b *BatchCampaign) Result(lane int) AdaptiveRunResult { return b.state(lane).result() }
 
 // LaneSnapshot extracts one lane as a scalar campaign snapshot: the
 // exact schema Campaign.Snapshot writes, so the lane restores on the
@@ -758,42 +714,7 @@ func (b *BatchCampaign) LaneSnapshot(lane int) (*checkpoint.Snapshot, error) {
 	if lane < 0 || lane >= len(b.lanes) {
 		return nil, fmt.Errorf("experiments: lane %d outside batch of width %d", lane, len(b.lanes))
 	}
-	st := campaignState{
-		engine:        engineBatch,
-		cfg:           b.laneConfig(lane),
-		step:          b.step,
-		failures:      b.failures[lane],
-		replicaRounds: b.replicaRounds[lane],
-		occupancy:     make(map[int]int64),
-		sb: redundancy.SwitchboardState{
-			Controller: redundancy.ControllerState{
-				N:      b.nCtrl[lane],
-				Quiet:  int(b.quiet[lane]),
-				Raises: b.raises[lane],
-				Lowers: b.lowers[lane],
-			},
-			Farm: voting.FarmState{
-				Replicas: b.nFarm[lane],
-				Rounds:   b.farmRounds[lane],
-				Failures: b.farmFailures[lane],
-			},
-			LastNonce: b.lastNonce[lane],
-			Resizes:   b.resizes[lane],
-			Rejected:  b.rejected[lane],
-		},
-		storms: b.storms[lane].exportState(),
-		crng:   b.crng[lane].State(),
-	}
-	if b.red != nil {
-		st.red = b.red[lane]
-		st.dtof = b.dtof[lane]
-	}
-	for n := 0; n < b.stride; n++ {
-		if cnt := b.occ[lane*b.stride+n]; cnt > 0 {
-			st.occupancy[n] = cnt
-		}
-	}
-	return snapshotCampaign(st)
+	return snapshotCampaign(b.state(lane))
 }
 
 // RestoreBatchCampaign rebuilds a batch from one scalar campaign
@@ -838,40 +759,15 @@ func RestoreBatchCampaign(snaps []*checkpoint.Snapshot) (*BatchCampaign, error) 
 		}
 		lanes[i] = BatchLane{Seed: st.cfg.Seed, Policy: st.cfg.Policy}
 	}
-	cfg := states[0].cfg
-	b, err := NewBatchCampaignLanes(cfg, lanes)
+	b, err := NewBatchCampaignLanes(states[0].cfg, lanes)
 	if err != nil {
 		return nil, err
 	}
 	for i, st := range states {
-		if err := b.storms[i].restoreState(st.storms); err != nil {
-			return nil, fmt.Errorf("experiments: lane %d: %w", i, err)
-		}
-		if err := b.crng[i].SetState(st.crng); err != nil {
-			return nil, fmt.Errorf("experiments: lane %d: %w", i, err)
-		}
-		b.nCtrl[i] = st.sb.Controller.N
-		b.nFarm[i] = st.sb.Farm.Replicas
-		b.quiet[i] = int64(st.sb.Controller.Quiet)
-		b.raises[i] = st.sb.Controller.Raises
-		b.lowers[i] = st.sb.Controller.Lowers
-		b.lastNonce[i] = st.sb.LastNonce
-		b.resizes[i] = st.sb.Resizes
-		b.rejected[i] = st.sb.Rejected
-		b.farmRounds[i] = st.sb.Farm.Rounds
-		b.farmFailures[i] = st.sb.Farm.Failures
-		b.failures[i] = st.failures
-		b.replicaRounds[i] = st.replicaRounds
-		for n, cnt := range st.occupancy {
-			if n >= b.stride {
-				return nil, fmt.Errorf("experiments: lane %d: occupancy at %d replicas outside policy band (max %d)",
-					i, n, b.stride-1)
-			}
-			b.occ[i*b.stride+n] = cnt
-		}
-		if b.red != nil {
-			b.red[i], b.dtof[i] = st.red, st.dtof
-		}
+		l := &b.lanes[i]
+		l.storms, l.crng, l.sb = st.storms, st.crng, st.sb
+		l.failures, l.replicaRounds, l.occ = st.failures, st.replicaRounds, st.occupancy
+		l.red, l.dtof = st.red, st.dtof
 	}
 	b.step = states[0].step
 	return b, nil

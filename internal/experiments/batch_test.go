@@ -500,7 +500,7 @@ func TestBatchRunChunksMatchReference(t *testing.T) {
 			}
 			refs := make([]*ReferenceCampaign, len(tc.lanes))
 			for i := range tc.lanes {
-				if refs[i], err = NewReferenceCampaign(b.laneConfig(i)); err != nil {
+				if refs[i], err = NewReferenceCampaign(b.state(i).cfg); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -514,7 +514,7 @@ func TestBatchRunChunksMatchReference(t *testing.T) {
 					n = 1 + int64(rng.Intn(16))
 				case 1:
 					c := rng.Intn(len(tc.lanes))
-					st := &b.storms[c]
+					st := &b.lanes[c].storms
 					var to []int64
 					if st.nextOnset > step {
 						to = append(to, st.nextOnset-step)
@@ -526,7 +526,7 @@ func TestBatchRunChunksMatchReference(t *testing.T) {
 					if se > 0 {
 						to = append(to, se-step%se)
 					}
-					to = append(to, int64(tc.lanes[c].Policy.LowerAfter)-b.quiet[c])
+					to = append(to, int64(tc.lanes[c].Policy.LowerAfter-b.lanes[c].sb.Controller.Quiet))
 					n = to[rng.Intn(len(to))] + int64(rng.Intn(3)) - 1
 				default:
 					n = 1 + int64(rng.Intn(3000))
@@ -631,22 +631,22 @@ func TestBatchRunZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.Run(1000)
-		raises, lowers := sum(b.raises), sum(b.lowers)
+		raises, lowers := decisions(b)
 		if allocs := testing.AllocsPerRun(20, func() { b.Run(tc.window) }); allocs != 0 {
 			t.Fatalf("%s: batch Run(%d) allocates %v per call", tc.name, tc.window, allocs)
 		}
-		if tc.resizes && (sum(b.raises) == raises || sum(b.lowers) == lowers) {
+		if r, l := decisions(b); tc.resizes && (r == raises || l == lowers) {
 			t.Fatalf("%s: the measured windows raised %d and lowered %d times; want both",
-				tc.name, sum(b.raises)-raises, sum(b.lowers)-lowers)
+				tc.name, r-raises, l-lowers)
 		}
 	}
 }
 
-// sum adds up one per-lane counter.
-func sum(counts []int64) int64 {
-	var total int64
-	for _, c := range counts {
-		total += c
+// decisions adds up every lane's raises and lowers.
+func decisions(b *BatchCampaign) (raises, lowers int64) {
+	for _, l := range b.lanes {
+		raises += l.sb.Controller.Raises
+		lowers += l.sb.Controller.Lowers
 	}
-	return total
+	return raises, lowers
 }

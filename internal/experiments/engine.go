@@ -75,12 +75,13 @@ type Campaign struct {
 	red, dtof *metrics.Series
 }
 
-// newSeries allocates the sampling series when the config asks for them.
-func (c *Campaign) newSeries() {
-	if c.cfg.SampleEvery > 0 {
-		c.red = metrics.NewSeries("redundancy")
-		c.dtof = metrics.NewSeries("dtof")
+// newSeries allocates the sampling series when cfg asks for them, and
+// returns nil ones otherwise.
+func newSeries(cfg AdaptiveRunConfig) (red, dtof *metrics.Series) {
+	if cfg.SampleEvery > 0 {
+		return metrics.NewSeries("redundancy"), metrics.NewSeries("dtof")
 	}
+	return nil, nil
 }
 
 // NewCampaign validates cfg and allocates every buffer the campaign will
@@ -109,7 +110,7 @@ func NewCampaign(cfg AdaptiveRunConfig) (*Campaign, error) {
 		crng: crng,
 		occ:  make([]int64, cfg.Policy.Max+1),
 	}
-	c.newSeries()
+	c.red, c.dtof = newSeries(cfg)
 	return c, nil
 }
 
@@ -170,23 +171,6 @@ func (c *Campaign) Run(n int64) {
 	}
 }
 
-// Result folds the flat counters into the AdaptiveRunResult shape shared
-// with the other engines, sampled series included.
-func (c *Campaign) Result() AdaptiveRunResult {
-	res := AdaptiveRunResult{
-		Hist:          metrics.NewIntHistogram(),
-		Rounds:        c.step,
-		Failures:      c.failures,
-		ReplicaRounds: c.replicaRounds,
-		Redundancy:    c.red,
-		DTOF:          c.dtof,
-	}
-	for n, cnt := range c.occ {
-		if cnt > 0 {
-			res.Hist.ObserveN(n, cnt)
-		}
-	}
-	res.Raises, res.Lowers = c.sb.Controller().Stats()
-	res.MinFraction = res.Hist.Fraction(c.cfg.Policy.Min)
-	return res
-}
+// Result folds the campaign's state into the AdaptiveRunResult shape
+// shared with the other engines, sampled series included.
+func (c *Campaign) Result() AdaptiveRunResult { return c.state().result() }

@@ -27,23 +27,40 @@ func TestEngineMatchesReferenceFig6(t *testing.T) {
 }
 
 // TestEngineMatchesReferenceFig7 does the same on a scaled-down Fig. 7
-// campaign — histogram, min-fraction, failure and replica-round counts.
+// campaign — histogram, min-fraction, failure and replica-round counts,
+// and the controller's decisions — and on two storm-dense campaigns: 2 M
+// rounds with a storm every 2 000 and a sample every 1 000. Those take
+// the kernel's storm levels in bulk a thousand times over, and at max
+// level 9 majorities are lost, so TallyWords runs beside them.
 func TestEngineMatchesReferenceFig7(t *testing.T) {
-	cfg := DefaultFig7Config(300_000)
-	eng, err := RunAdaptive(cfg)
-	if err != nil {
-		t.Fatal(err)
+	stormDense := func(maxLevel int) AdaptiveRunConfig {
+		cfg := DefaultFig7Config(2_000_000)
+		cfg.Storms.StormEvery = 2000
+		cfg.Storms.MaxLevel = maxLevel
+		cfg.SampleEvery = 1000
+		return cfg
 	}
-	ref, err := RunAdaptiveReference(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := RenderFig7(eng, cfg.Policy.Min), RenderFig7(ref, cfg.Policy.Min); a != b {
-		t.Fatalf("Fig. 7 transcripts diverge:\nengine:\n%s\nreference:\n%s", a, b)
-	}
-	if eng.Raises != ref.Raises || eng.Lowers != ref.Lowers {
-		t.Fatalf("controller decisions diverge: %d/%d vs %d/%d",
-			eng.Raises, eng.Lowers, ref.Raises, ref.Lowers)
+	for _, tc := range []struct {
+		name string
+		cfg  AdaptiveRunConfig
+	}{
+		{"fig7-300k", DefaultFig7Config(300_000)},
+		{"storm-dense-max-level-4", stormDense(4)},
+		{"storm-dense-max-level-9", stormDense(9)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := RunAdaptive(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := RunAdaptiveReference(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := renderBoth(eng, tc.cfg.Policy.Min), renderBoth(ref, tc.cfg.Policy.Min); a != b {
+				t.Fatalf("transcripts diverge:\nengine:\n%s\nreference:\n%s", a, b)
+			}
+		})
 	}
 }
 

@@ -104,10 +104,12 @@ func DefaultFig6Storms() StormConfig {
 	}
 }
 
-// storms generates the per-round corruption count.
+// storms generates the per-round corruption count. It owns its PRNG,
+// so a storms value is the generator's whole state: the onset schedule,
+// the in-flight storm's shape and the stream's position.
 type storms struct {
 	cfg StormConfig
-	rng *xrand.Rand
+	rng xrand.Rand
 
 	nextOnset int64
 	inStorm   bool
@@ -118,7 +120,7 @@ type storms struct {
 }
 
 func newStorms(cfg StormConfig, rng *xrand.Rand) *storms {
-	s := &storms{cfg: cfg, rng: rng.Split()}
+	s := &storms{cfg: cfg, rng: *rng.Split()}
 	switch {
 	case cfg.StormEvery <= 0:
 		s.nextOnset = -1
@@ -168,47 +170,6 @@ func (s *storms) corruptions(step int64) int {
 		return 1
 	}
 	return 0
-}
-
-// stormsState is the serializable state of the storm generator: the
-// onset schedule, the in-flight storm's shape, and the generator's PRNG
-// stream. cfg is not part of the state — it is restored from the
-// campaign configuration.
-type stormsState struct {
-	rng       [4]uint64
-	nextOnset int64
-	stormEnd  int64
-	level     int64
-	onset     int64
-	peak      int
-	inStorm   bool
-}
-
-// exportState captures the generator for a checkpoint.
-func (s *storms) exportState() stormsState {
-	return stormsState{
-		rng:       s.rng.State(),
-		nextOnset: s.nextOnset,
-		stormEnd:  s.stormEnd,
-		level:     s.level,
-		onset:     s.onset,
-		peak:      s.peak,
-		inStorm:   s.inStorm,
-	}
-}
-
-// restoreState rewinds the generator to a captured state.
-func (s *storms) restoreState(st stormsState) error {
-	if err := s.rng.SetState(st.rng); err != nil {
-		return err
-	}
-	s.nextOnset = st.nextOnset
-	s.stormEnd = st.stormEnd
-	s.level = st.level
-	s.onset = st.onset
-	s.peak = st.peak
-	s.inStorm = st.inStorm
-	return nil
 }
 
 // AdaptiveRunConfig parameterizes a Fig. 6/7-style run.

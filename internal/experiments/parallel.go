@@ -91,8 +91,8 @@ func RunParallel[T any](n, workers int, task func(i int) (T, error)) ([]T, error
 
 // SweepSeeds runs the same adaptive configuration once per seed — the
 // independent-replica dimension of a Fig. 7-style campaign — on the
-// batch engine, in pool tasks of up to four lanes (one group of four
-// per task once there are four lanes per worker). Result i always
+// batch engine, in pool tasks of up to eight lanes (one group of eight
+// per task once there are eight lanes per worker). Result i always
 // corresponds to seeds[i] and is identical to RunAdaptive with that
 // seed, for every worker count.
 func SweepSeeds(cfg AdaptiveRunConfig, seeds []uint64, workers int) ([]AdaptiveRunResult, error) {

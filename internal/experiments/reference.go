@@ -64,16 +64,8 @@ func NewReferenceCampaign(cfg AdaptiveRunConfig) (*ReferenceCampaign, error) {
 		crng: rng.Split(),
 		hist: metrics.NewIntHistogram(),
 	}
-	rc.newSeries()
+	rc.red, rc.dtof = newSeries(cfg)
 	return rc, nil
-}
-
-// newSeries allocates the sampling series when the config asks for them.
-func (rc *ReferenceCampaign) newSeries() {
-	if rc.cfg.SampleEvery > 0 {
-		rc.red = metrics.NewSeries("redundancy")
-		rc.dtof = metrics.NewSeries("dtof")
-	}
 }
 
 // Switchboard exposes the campaign's switchboard (read-only use).
@@ -123,16 +115,4 @@ func (rc *ReferenceCampaign) Run(n int64) {
 }
 
 // Result folds the campaign into the shared AdaptiveRunResult shape.
-func (rc *ReferenceCampaign) Result() AdaptiveRunResult {
-	res := AdaptiveRunResult{
-		Hist:          rc.hist,
-		Rounds:        rc.step,
-		Failures:      rc.failures,
-		ReplicaRounds: rc.replicaRounds,
-		Redundancy:    rc.red,
-		DTOF:          rc.dtof,
-	}
-	res.Raises, res.Lowers = rc.sb.Controller().Stats()
-	res.MinFraction = rc.hist.Fraction(rc.cfg.Policy.Min)
-	return res
-}
+func (rc *ReferenceCampaign) Result() AdaptiveRunResult { return rc.state().result() }

@@ -26,11 +26,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
 	"aft/internal/checkpoint"
 	"aft/internal/metrics"
 	"aft/internal/redundancy"
+	"aft/internal/xrand"
 )
 
 // CampaignSnapshotKind identifies campaign snapshots inside a
@@ -57,22 +57,53 @@ const (
 	envStorms   = 1
 )
 
-// campaignState is the engine-agnostic decoded form of a snapshot.
+// campaignState is one campaign's whole state, in the form every engine
+// snapshots (snapshotCampaign), restores from (decodeCampaign) and folds
+// into its result (result).
 type campaignState struct {
 	engine string
 	cfg    AdaptiveRunConfig
 
 	step, failures, replicaRounds int64
-	occupancy                     map[int]int64
+	// occupancy counts rounds by replica count, cfg.Policy.Max+1 slots.
+	occupancy []int64
 
 	sb redundancy.SwitchboardState
 
 	// hasStorms is false only for a decoded envExternal snapshot.
 	hasStorms bool
-	storms    stormsState
-	crng      [4]uint64
+	storms    storms
+	crng      xrand.Rand
 
 	red, dtof *metrics.Series
+}
+
+// result folds the state into the AdaptiveRunResult every engine
+// reports.
+func (st campaignState) result() AdaptiveRunResult {
+	hist := histogram(st.occupancy)
+	return AdaptiveRunResult{
+		Hist:          hist,
+		Redundancy:    st.red,
+		DTOF:          st.dtof,
+		Rounds:        st.step,
+		Failures:      st.failures,
+		Raises:        st.sb.Controller.Raises,
+		Lowers:        st.sb.Controller.Lowers,
+		ReplicaRounds: st.replicaRounds,
+		MinFraction:   hist.Fraction(st.cfg.Policy.Min),
+	}
+}
+
+// histogram is the occupancy histogram of an occupancy row.
+func histogram(occ []int64) *metrics.IntHistogram {
+	h := metrics.NewIntHistogram()
+	for n, cnt := range occ {
+		if cnt > 0 {
+			h.ObserveN(n, cnt)
+		}
+	}
+	return h
 }
 
 // snapshotCampaign serializes the shared state of either engine.
@@ -93,17 +124,20 @@ func snapshotCampaign(st campaignState) (*checkpoint.Snapshot, error) {
 	counters.I64(st.replicaRounds)
 	snap.Add("counters", counters.Data())
 
+	// The replica counts that occur, ascending.
 	var occ checkpoint.Writer
-	values := make([]int, 0, len(st.occupancy))
-	for n := range st.occupancy {
-		values = append(values, n)
+	var entries uint32
+	for _, cnt := range st.occupancy {
+		if cnt > 0 {
+			entries++
+		}
 	}
-	// Deterministic section bytes: ascending replica count.
-	sort.Ints(values)
-	occ.U32(uint32(len(values)))
-	for _, n := range values {
-		occ.I64(int64(n))
-		occ.I64(st.occupancy[n])
+	occ.U32(entries)
+	for n, cnt := range st.occupancy {
+		if cnt > 0 {
+			occ.I64(int64(n))
+			occ.I64(cnt)
+		}
 	}
 	snap.Add("occupancy", occ.Data())
 
@@ -122,7 +156,8 @@ func snapshotCampaign(st campaignState) (*checkpoint.Snapshot, error) {
 
 	var env checkpoint.Writer
 	env.Byte(envStorms)
-	env.U64s(st.storms.rng[:])
+	rng := st.storms.rng.State()
+	env.U64s(rng[:])
 	env.I64(st.storms.nextOnset)
 	env.I64(st.storms.stormEnd)
 	env.I64(st.storms.level)
@@ -132,7 +167,8 @@ func snapshotCampaign(st campaignState) (*checkpoint.Snapshot, error) {
 	snap.Add("env", env.Data())
 
 	var crng checkpoint.Writer
-	crng.U64s(st.crng[:])
+	words := st.crng.State()
+	crng.U64s(words[:])
 	snap.Add("crng", crng.Data())
 
 	if st.red != nil {
@@ -189,6 +225,11 @@ func decodeCampaign(snap *checkpoint.Snapshot) (campaignState, error) {
 	if err := json.Unmarshal(snap.Section("config"), &st.cfg); err != nil {
 		return st, fmt.Errorf("experiments: decode config: %w", err)
 	}
+	// The policy sizes the occupancy row and bounds its replica counts.
+	if err := st.cfg.Policy.Validate(); err != nil {
+		return st, err
+	}
+	maxN := st.cfg.Policy.Max
 
 	counters := checkpoint.NewReader(snap.Section("counters"))
 	st.step = counters.I64()
@@ -200,7 +241,7 @@ func decodeCampaign(snap *checkpoint.Snapshot) (campaignState, error) {
 
 	occ := checkpoint.NewReader(snap.Section("occupancy"))
 	n := occ.U32()
-	st.occupancy = make(map[int]int64, n)
+	st.occupancy = make([]int64, maxN+1)
 	var occRounds, occReplicaRounds int64
 	for i := uint32(0); i < n && occ.Err() == nil; i++ {
 		v := occ.I64()
@@ -208,7 +249,10 @@ func decodeCampaign(snap *checkpoint.Snapshot) (campaignState, error) {
 		if v < 0 || cnt <= 0 {
 			return st, fmt.Errorf("experiments: corrupt occupancy entry (%d, %d)", v, cnt)
 		}
-		st.occupancy[int(v)] = cnt
+		if v > int64(maxN) {
+			return st, fmt.Errorf("experiments: occupancy at %d replicas outside policy band (max %d)", v, maxN)
+		}
+		st.occupancy[v] = cnt
 		occRounds += cnt
 		occReplicaRounds += int64(v) * cnt
 	}
@@ -239,7 +283,10 @@ func decodeCampaign(snap *checkpoint.Snapshot) (campaignState, error) {
 		if len(rng) != 4 {
 			return st, fmt.Errorf("experiments: storm rng state has %d words, want 4", len(rng))
 		}
-		copy(st.storms.rng[:], rng)
+		if err := st.storms.rng.SetState([4]uint64(rng)); err != nil {
+			return st, err
+		}
+		st.storms.cfg = st.cfg.Storms
 		st.storms.nextOnset = env.I64()
 		st.storms.stormEnd = env.I64()
 		st.storms.level = env.I64()
@@ -262,7 +309,9 @@ func decodeCampaign(snap *checkpoint.Snapshot) (campaignState, error) {
 	if len(words) != 4 {
 		return st, fmt.Errorf("experiments: corruption rng state has %d words, want 4", len(words))
 	}
-	copy(st.crng[:], words)
+	if err := st.crng.SetState([4]uint64(words)); err != nil {
+		return st, err
+	}
 
 	if snap.Has("series") {
 		series := checkpoint.NewReader(snap.Section("series"))
@@ -297,50 +346,53 @@ func decodeCampaign(snap *checkpoint.Snapshot) (campaignState, error) {
 	return st, nil
 }
 
-// Snapshot captures the fused campaign's complete state. The campaign
-// keeps running; the snapshot is an independent copy.
-func (c *Campaign) Snapshot() (*checkpoint.Snapshot, error) {
-	st := campaignState{
+// state is the fused campaign's state.
+func (c *Campaign) state() campaignState {
+	return campaignState{
 		engine:        engineFused,
 		cfg:           c.cfg,
 		step:          c.step,
 		failures:      c.failures,
 		replicaRounds: c.replicaRounds,
-		occupancy:     make(map[int]int64),
+		occupancy:     c.occ,
 		sb:            c.sb.ExportState(),
-		storms:        c.env.exportState(),
-		crng:          c.crng.State(),
+		storms:        *c.env,
+		crng:          *c.crng,
 		red:           c.red,
 		dtof:          c.dtof,
 	}
-	for n, cnt := range c.occ {
-		if cnt > 0 {
-			st.occupancy[n] = cnt
-		}
-	}
-	return snapshotCampaign(st)
 }
 
-// Snapshot captures the reference campaign's complete state, in the
-// same schema the fused engine writes.
-func (rc *ReferenceCampaign) Snapshot() (*checkpoint.Snapshot, error) {
-	st := campaignState{
+// Snapshot captures the fused campaign's complete state. The campaign
+// keeps running; the snapshot is an independent copy.
+func (c *Campaign) Snapshot() (*checkpoint.Snapshot, error) { return snapshotCampaign(c.state()) }
+
+// state is the reference campaign's state; its histogram becomes the
+// occupancy row.
+func (rc *ReferenceCampaign) state() campaignState {
+	occ := make([]int64, rc.cfg.Policy.Max+1)
+	for _, n := range rc.hist.Values() {
+		occ[n] = rc.hist.Count(n)
+	}
+	return campaignState{
 		engine:        engineReference,
 		cfg:           rc.cfg,
 		step:          rc.step,
 		failures:      rc.failures,
 		replicaRounds: rc.replicaRounds,
-		occupancy:     make(map[int]int64),
+		occupancy:     occ,
 		sb:            rc.sb.ExportState(),
-		storms:        rc.env.exportState(),
-		crng:          rc.crng.State(),
+		storms:        *rc.env,
+		crng:          *rc.crng,
 		red:           rc.red,
 		dtof:          rc.dtof,
 	}
-	for _, n := range rc.hist.Values() {
-		st.occupancy[n] = rc.hist.Count(n)
-	}
-	return snapshotCampaign(st)
+}
+
+// Snapshot captures the reference campaign's complete state, in the
+// same schema the fused engine writes.
+func (rc *ReferenceCampaign) Snapshot() (*checkpoint.Snapshot, error) {
+	return snapshotCampaign(rc.state())
 }
 
 // errSourceSnapshot refuses a snapshot taken with an external
@@ -381,25 +433,8 @@ func (c *Campaign) restore(st campaignState) error {
 	if err := c.sb.RestoreState(st.sb); err != nil {
 		return err
 	}
-	if err := c.env.restoreState(st.storms); err != nil {
-		return err
-	}
-	if err := c.crng.SetState(st.crng); err != nil {
-		return err
-	}
-	c.step = st.step
-	c.failures = st.failures
-	c.replicaRounds = st.replicaRounds
-	for i := range c.occ {
-		c.occ[i] = 0
-	}
-	for n, cnt := range st.occupancy {
-		if n >= len(c.occ) {
-			return fmt.Errorf("experiments: occupancy at %d replicas outside policy band (max %d)",
-				n, len(c.occ)-1)
-		}
-		c.occ[n] = cnt
-	}
+	*c.env, *c.crng = st.storms, st.crng
+	c.step, c.failures, c.replicaRounds, c.occ = st.step, st.failures, st.replicaRounds, st.occupancy
 	c.red, c.dtof = st.red, st.dtof
 	return nil
 }
@@ -428,23 +463,9 @@ func (rc *ReferenceCampaign) restore(st campaignState) error {
 	if err := rc.sb.RestoreState(st.sb); err != nil {
 		return err
 	}
-	if err := rc.env.restoreState(st.storms); err != nil {
-		return err
-	}
-	if err := rc.crng.SetState(st.crng); err != nil {
-		return err
-	}
-	rc.step = st.step
-	rc.failures = st.failures
-	rc.replicaRounds = st.replicaRounds
-	rc.hist = metrics.NewIntHistogram()
-	max := rc.cfg.Policy.Max
-	for n, cnt := range st.occupancy {
-		if n > max {
-			return fmt.Errorf("experiments: occupancy at %d replicas outside policy band (max %d)", n, max)
-		}
-		rc.hist.ObserveN(n, cnt)
-	}
+	*rc.env, *rc.crng = st.storms, st.crng
+	rc.step, rc.failures, rc.replicaRounds = st.step, st.failures, st.replicaRounds
+	rc.hist = histogram(st.occupancy)
 	rc.red, rc.dtof = st.red, st.dtof
 	return nil
 }

@@ -231,6 +231,60 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesOccupancyPastPolicyMax pins the occupancy bound
+// every restore relies on: a snapshot whose occupancy names
+// Policy.Max+2 replicas, with its counters and checksum consistent, is
+// refused by every restore entry point with decodeCampaign's text. The
+// same forgery inside the band restores, so the bound is the only
+// check it fails.
+func TestRestoreRefusesOccupancyPastPolicyMax(t *testing.T) {
+	cfg := DefaultFig7Config(20_000)
+	c := fusedAt(t, cfg)
+	c.Run(1000) // the first storm is due at round 2 000
+	if got := c.Result().Hist.Count(cfg.Policy.Min); got != 1000 {
+		t.Fatalf("setup: %d of 1 000 rounds at Policy.Min", got)
+	}
+	// forge moves ten of the rounds at Policy.Min to n replicas and
+	// charges the replica-rounds they now spend.
+	forge := func(n int) *checkpoint.Snapshot {
+		t.Helper()
+		snap, err := c.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var occ, counters checkpoint.Writer
+		occ.U32(2)
+		occ.I64(int64(cfg.Policy.Min))
+		occ.I64(990)
+		occ.I64(int64(n))
+		occ.I64(10)
+		counters.I64(1000)
+		counters.I64(0)
+		counters.I64(990*int64(cfg.Policy.Min) + 10*int64(n))
+		snap.Add("occupancy", occ.Data())
+		snap.Add("counters", counters.Data())
+		decoded, err := checkpoint.Decode(snap.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decoded
+	}
+	if _, err := RestoreCampaign(forge(cfg.Policy.Max)); err != nil {
+		t.Fatalf("forgery inside the band refused: %v", err)
+	}
+	forged := forge(cfg.Policy.Max + 2)
+	const want = "experiments: occupancy at 11 replicas outside policy band (max 9)"
+	if _, err := RestoreCampaign(forged); err == nil || err.Error() != want {
+		t.Fatalf("RestoreCampaign = %v, want %q", err, want)
+	}
+	if _, err := RestoreReferenceCampaign(forged); err == nil || err.Error() != want {
+		t.Fatalf("RestoreReferenceCampaign = %v, want %q", err, want)
+	}
+	if _, err := RestoreBatchCampaign([]*checkpoint.Snapshot{forged}); err == nil || err.Error() != "experiments: lane 0: "+want {
+		t.Fatalf("RestoreBatchCampaign = %v, want %q", err, "experiments: lane 0: "+want)
+	}
+}
+
 // TestSplitCampaignShardsChain asserts the shard chain — run shard,
 // snapshot, restore, run next — is byte-identical to the uninterrupted
 // campaign, and that SplitCampaign partitions rounds exactly.

@@ -97,35 +97,28 @@ type classState struct {
 	n       int
 }
 
-// Mode selects the dispatch discipline.
+// Mode names a dispatch discipline.
 type Mode string
 
-// Dispatch modes.
-const (
-	// Fair is the priority + per-client weighted round-robin described
-	// in the package comment.
-	Fair Mode = "fair"
-	// FIFO dispatches strictly in push order, ignoring class and
-	// client — the pre-scheduler behaviour, kept as the load-test
-	// baseline.
-	FIFO Mode = "fifo"
-)
+// Fair is the priority + per-client weighted round-robin described in
+// the package comment, and the only dispatch mode.
+const Fair Mode = "fair"
 
 // Queue is the scheduler. Construct with New; not safe for concurrent
 // use (the caller brings its own lock).
 type Queue struct {
-	mode    Mode
 	byClass map[Class]*classState
-	fifo    []Item
 	// cycle is the static weighted grant cycle; pos is the next slot.
 	cycle []Class
 	pos   int
 	n     int
 }
 
-// New returns an empty queue with the given dispatch mode.
-func New(mode Mode) *Queue {
-	q := &Queue{mode: mode, byClass: make(map[Class]*classState)}
+// New returns an empty queue. Fair is the only mode; New keeps the
+// parameter so its callers, the repository benchmark among them, build
+// with sched.New(sched.Fair).
+func New(Mode) *Queue {
+	q := &Queue{byClass: make(map[Class]*classState)}
 	for _, c := range classes {
 		q.byClass[c] = &classState{clients: make(map[string]*clientQueue)}
 		for i := 0; i < Weight(c); i++ {
@@ -135,32 +128,8 @@ func New(mode Mode) *Queue {
 	return q
 }
 
-// Mode reports the queue's dispatch discipline.
-func (q *Queue) Mode() Mode { return q.mode }
-
 // Len reports the number of queued items.
 func (q *Queue) Len() int { return q.n }
-
-// ClientDepth reports how many items the client has queued across all
-// classes.
-func (q *Queue) ClientDepth(client string) int {
-	if q.mode == FIFO {
-		n := 0
-		for _, it := range q.fifo {
-			if it.Client == client {
-				n++
-			}
-		}
-		return n
-	}
-	n := 0
-	for _, c := range classes {
-		if cq, ok := q.byClass[c].clients[client]; ok {
-			n += len(cq.items)
-		}
-	}
-	return n
-}
 
 // Push appends the item to its client's queue tail.
 func (q *Queue) Push(it Item) { q.push(it, false) }
@@ -173,14 +142,6 @@ func (q *Queue) PushFront(it Item) { q.push(it, true) }
 
 func (q *Queue) push(it Item, front bool) {
 	q.n++
-	if q.mode == FIFO {
-		if front {
-			q.fifo = append([]Item{it}, q.fifo...)
-		} else {
-			q.fifo = append(q.fifo, it)
-		}
-		return
-	}
 	class, _ := Canon(it.Class)
 	cs := q.byClass[class]
 	cq, ok := cs.clients[it.Client]
@@ -206,11 +167,6 @@ func (q *Queue) Pop() (it Item, ok bool) {
 		return Item{}, false
 	}
 	q.n--
-	if q.mode == FIFO {
-		it = q.fifo[0]
-		q.fifo = q.fifo[1:]
-		return it, true
-	}
 	// Scan the weighted cycle from the cursor for a non-empty class; a
 	// hit consumes that slot (the cursor moves past it), a miss falls
 	// through, so busy classes get exactly their weighted share while
@@ -253,16 +209,6 @@ func (cs *classState) pop() Item {
 // whether it was present. Cancellation is the only caller, so the
 // linear scan is over a single client's typically short queue.
 func (q *Queue) Remove(id string) bool {
-	if q.mode == FIFO {
-		for i, it := range q.fifo {
-			if it.ID == id {
-				q.fifo = append(q.fifo[:i], q.fifo[i+1:]...)
-				q.n--
-				return true
-			}
-		}
-		return false
-	}
 	for _, c := range classes {
 		cs := q.byClass[c]
 		for ri, cq := range cs.ring {

@@ -48,8 +48,8 @@ func TestDispatchOrder(t *testing.T) {
 	}{
 		{
 			// Client A dumps six jobs before trickle client B submits
-			// one. Under FIFO, B waits behind all of A; under the fair
-			// queue, B's single job is granted second.
+			// one. In push order B would wait behind all of A; the fair
+			// queue grants B's single job second.
 			name: "burst vs trickle",
 			run: func(q *Queue) {
 				for i := 1; i <= 6; i++ {
@@ -173,23 +173,6 @@ func TestRemoveDrainsClient(t *testing.T) {
 	assertOrder(t, popAll(t, q), []string{"b1"})
 }
 
-// TestFIFOMode verifies the baseline discipline ignores class and
-// client entirely.
-func TestFIFOMode(t *testing.T) {
-	q := New(FIFO)
-	q.Push(Item{ID: "a1", Client: "A", Class: ClassLow})
-	q.Push(Item{ID: "b1", Client: "B", Class: ClassHigh})
-	q.Push(Item{ID: "a2", Client: "A"})
-	if !q.Remove("b1") {
-		t.Fatal("Remove(b1) = false in FIFO mode")
-	}
-	q.PushFront(Item{ID: "r1", Client: "C"})
-	if q.ClientDepth("A") != 2 {
-		t.Fatalf("ClientDepth(A) = %d, want 2", q.ClientDepth("A"))
-	}
-	assertOrder(t, popAll(t, q), []string{"r1", "a1", "a2"})
-}
-
 // TestCanonAndWeight pins the class canonicalization and cycle weights
 // the docs promise.
 func TestCanonAndWeight(t *testing.T) {
@@ -211,20 +194,6 @@ func TestCanonAndWeight(t *testing.T) {
 	}
 	if Weight(ClassHigh) != 4 || Weight(ClassNormal) != 2 || Weight(ClassLow) != 1 || Weight("") != 2 {
 		t.Fatal("class weights drifted from 4/2/1")
-	}
-}
-
-// TestClientDepth checks per-client depth accounting across classes.
-func TestClientDepth(t *testing.T) {
-	q := New(Fair)
-	q.Push(Item{ID: "a1", Client: "A", Class: ClassHigh})
-	q.Push(Item{ID: "a2", Client: "A", Class: ClassLow})
-	q.Push(Item{ID: "b1", Client: "B"})
-	if got := q.ClientDepth("A"); got != 2 {
-		t.Fatalf("ClientDepth(A) = %d, want 2", got)
-	}
-	if got := q.ClientDepth("absent"); got != 0 {
-		t.Fatalf("ClientDepth(absent) = %d, want 0", got)
 	}
 }
 

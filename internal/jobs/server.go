@@ -54,11 +54,6 @@ type Options struct {
 	// the whole campaign.
 	ShardRounds int64
 
-	// Scheduler selects the dispatch discipline for the run queue:
-	// "fair" (the default, and the default when empty) is the priority +
-	// per-client weighted round-robin of internal/jobs/sched; "fifo" is
-	// strict submission order, kept for baseline comparisons.
-	Scheduler string
 	// RateLimit caps each client's submission rate in requests per
 	// second (token bucket, see RateBurst); 0 disables rate limiting.
 	// Over-limit submissions get 429 with a Retry-After header.
@@ -244,19 +239,12 @@ func NewServer(opts Options) (*Server, error) {
 		opts.LeaseTTL = lease.DefaultTTL
 	}
 	opts.Workers = experiments.Workers(opts.Workers)
-	mode := sched.Mode(opts.Scheduler)
-	if mode == "" {
-		mode = sched.Fair
-	}
-	if mode != sched.Fair && mode != sched.FIFO {
-		return nil, fmt.Errorf("jobs: unknown scheduler %q (want fair or fifo)", opts.Scheduler)
-	}
 	s := &Server{
 		opts:         opts,
 		store:        st,
 		reg:          &metrics.Registry{},
 		jobs:         make(map[string]*job),
-		queue:        sched.New(mode),
+		queue:        sched.New(sched.Fair),
 		events:       pubsub.New().Async(eventBusQueue),
 		fleetWorkers: make(map[string]*WorkerInfo),
 		readyCh:      make(chan struct{}),

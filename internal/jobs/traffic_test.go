@@ -276,18 +276,6 @@ func TestSpecClientPriorityValidation(t *testing.T) {
 	}
 }
 
-// TestSchedulerOption pins Options.Scheduler validation.
-func TestSchedulerOption(t *testing.T) {
-	if _, err := NewServer(Options{Dir: t.TempDir(), Scheduler: "bogus"}); err == nil ||
-		!strings.Contains(err.Error(), "unknown scheduler") {
-		t.Fatalf("bogus scheduler: %v", err)
-	}
-	s := newTestServer(t, Options{DisableLocalPool: true, Scheduler: "fifo"})
-	if got := s.queue.Mode(); string(got) != "fifo" {
-		t.Fatalf("queue mode %q, want fifo", got)
-	}
-}
-
 // TestSSEFanoutStress subscribes 2000 SSE streams to one campaign plus
 // one deliberately wedged bus consumer and asserts the traffic contract:
 // the campaign completes (publishers never block on consumers), the
@@ -386,37 +374,13 @@ func TestQueueWaitHistogramExposed(t *testing.T) {
 	}
 }
 
-// TestFIFOSchedulerDispatchOrder sanity-checks the baseline mode end to
-// end: with Scheduler "fifo", lease grants follow submission order even
-// across priorities.
-func TestFIFOSchedulerDispatchOrder(t *testing.T) {
-	s := newTestServer(t, Options{DisableLocalPool: true, Scheduler: "fifo"})
-	if err := s.WaitReady(waitCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-	var want []string
-	for i, prio := range []string{"low", "high", "normal"} {
-		w := do(t, s, "POST", "/jobs", submitJSON(t, 500+uint64(i), fmt.Sprintf("c%d", i), prio))
-		if w.Code != http.StatusAccepted {
-			t.Fatalf("submit %d: code %d", i, w.Code)
-		}
-		want = append(want, decode[SubmitReply](t, w).ID)
-	}
-	for i, wantID := range want {
-		g := decode[Grant](t, do(t, s, "POST", "/v1/lease", `{"worker":"w1"}`))
-		if g.Job != wantID {
-			t.Fatalf("fifo grant %d = %s, want %s", i, g.Job, wantID)
-		}
-	}
-}
-
 // TestFairSchedulerServesTrickleAheadOfBurst pins the fairness the
 // scheduler exists for as a dispatch count, not a wall-clock latency:
 // 8 clients queue a 200-job burst, priorities cycling high, normal,
-// low, and then a ninth client queues one normal-priority job. Under
-// fair, that job is granted within the scheduler's starvation bound —
-// cycle weight × normal-class clients × depth 1 = 63 grants — so at
-// most 62 burst jobs go first; under fifo, the whole burst does.
+// low, and then a ninth client queues one normal-priority job. That
+// job is granted within the scheduler's starvation bound — cycle
+// weight × normal-class clients × depth 1 = 63 grants — so at most 62
+// burst jobs go first; in push order the whole burst would.
 func TestFairSchedulerServesTrickleAheadOfBurst(t *testing.T) {
 	const burst, clients = 200, 8
 	cycle := 0
@@ -425,41 +389,36 @@ func TestFairSchedulerServesTrickleAheadOfBurst(t *testing.T) {
 	}
 	bound := cycle * (clients + 1)
 	priorities := []string{"high", "normal", "low"}
-	for _, mode := range []string{"fair", "fifo"} {
-		t.Run(mode, func(t *testing.T) {
-			// No holders run the jobs, and no lease expires mid-test to
-			// requeue a burst job ahead of the trickle job.
-			s := newTestServer(t, Options{DisableLocalPool: true, Scheduler: mode, LeaseTTL: time.Hour})
-			if err := s.WaitReady(waitCtx(t)); err != nil {
+	t.Run("fair", func(t *testing.T) {
+		// No holders run the jobs, and no lease expires mid-test to
+		// requeue a burst job ahead of the trickle job.
+		s := newTestServer(t, Options{DisableLocalPool: true, LeaseTTL: time.Hour})
+		if err := s.WaitReady(waitCtx(t)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < burst; i++ {
+			if _, _, err := s.Submit(taggedScenario(1000+uint64(i), fmt.Sprintf("burst-%d", i%clients), priorities[i%len(priorities)])); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < burst; i++ {
-				if _, _, err := s.Submit(taggedScenario(1000+uint64(i), fmt.Sprintf("burst-%d", i%clients), priorities[i%len(priorities)])); err != nil {
-					t.Fatal(err)
-				}
-			}
-			trickle, _, err := s.Submit(taggedScenario(1, "trickle", "normal"))
+		}
+		trickle, _, err := s.Submit(taggedScenario(1, "trickle", "normal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ahead := 0
+		for {
+			g, err := s.Lease(waitCtx(t), "w1")
 			if err != nil {
 				t.Fatal(err)
 			}
-			ahead := 0
-			for {
-				g, err := s.Lease(waitCtx(t), "w1")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if g.Job == trickle.ID {
-					break
-				}
-				ahead++
+			if g.Job == trickle.ID {
+				break
 			}
-			t.Logf("%s: %d burst jobs granted ahead of the trickle job", mode, ahead)
-			switch {
-			case mode == "fair" && ahead >= bound:
-				t.Fatalf("fair: %d burst jobs granted ahead of the trickle job, want fewer than the starvation bound %d", ahead, bound)
-			case mode == "fifo" && ahead != burst:
-				t.Fatalf("fifo: %d burst jobs granted ahead of the trickle job, want all %d", ahead, burst)
-			}
-		})
-	}
+			ahead++
+		}
+		t.Logf("fair: %d burst jobs granted ahead of the trickle job", ahead)
+		if ahead >= bound {
+			t.Fatalf("fair: %d burst jobs granted ahead of the trickle job, want fewer than the starvation bound %d", ahead, bound)
+		}
+	})
 }
