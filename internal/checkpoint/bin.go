@@ -61,14 +61,6 @@ func (w *Writer) Bytes(b []byte) {
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) { w.Bytes([]byte(s)) }
 
-// I64s appends a length-prefixed slice of int64.
-func (w *Writer) I64s(vs []int64) {
-	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.I64(v)
-	}
-}
-
 // U64s appends a length-prefixed slice of uint64.
 func (w *Writer) U64s(vs []uint64) {
 	w.U32(uint32(len(vs)))
@@ -198,26 +190,6 @@ func (r *Reader) BytesCopy() []byte {
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.BytesCopy()) }
-
-// I64s reads a length-prefixed slice of int64.
-func (r *Reader) I64s() []int64 {
-	n := r.U32()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if int(n) > len(r.data)/8+1 {
-		r.fail("declared slice length %d exceeds buffer", n)
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.I64()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
 
 // U64s reads a length-prefixed slice of uint64.
 func (r *Reader) U64s() []uint64 {

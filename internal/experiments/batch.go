@@ -271,9 +271,6 @@ func NewBatchCampaignLanes(cfg AdaptiveRunConfig, lanes []BatchLane) (*BatchCamp
 // Width reports the number of lanes.
 func (b *BatchCampaign) Width() int { return len(b.lanes) }
 
-// Lane returns the descriptor of one lane.
-func (b *BatchCampaign) Lane(i int) BatchLane { return b.lanes[i].BatchLane }
-
 // Rounds reports how many rounds have been run so far (every lane has
 // run exactly this many).
 func (b *BatchCampaign) Rounds() int64 { return b.step }
@@ -287,7 +284,7 @@ func (b *BatchCampaign) Remaining() int64 {
 }
 
 // Config returns the shared configuration (Seed and Policy are
-// per-lane; see Lane).
+// per-lane, from the BatchLane each lane was built with).
 func (b *BatchCampaign) Config() AdaptiveRunConfig { return b.cfg }
 
 // RecordOutcomes toggles per-lane outcome capture for LaneOutcome. It
@@ -628,8 +625,8 @@ func (b *BatchCampaign) laneRound(l *lane, step int64, k int) {
 	l.replicaRounds += int64(n)
 	l.occ[n]++
 	if l.red != nil && step%b.cfg.SampleEvery == 0 {
-		l.red.Append(step, float64(o.N))
-		l.dtof.Append(step, float64(o.DTOF))
+		l.red.Append(float64(o.N))
+		l.dtof.Append(float64(o.DTOF))
 	}
 	c := &l.sb.Controller
 	newN, quiet, dir := l.Policy.Decide(c.N, c.Quiet, o.DTOF, o.Dissent)

@@ -75,14 +75,23 @@ type Campaign struct {
 	red, dtof *metrics.Series
 }
 
-// newSeries allocates the sampling series when cfg asks for them, and
-// returns nil ones otherwise.
+// fig6Cols is how many columns RenderFig6 draws each series in.
+const fig6Cols = 72
+
+// newSeries allocates the sampling series when cfg asks for them, each
+// sized for the campaign's samples(cfg.Steps, cfg.SampleEvery) samples,
+// and returns nil ones otherwise.
 func newSeries(cfg AdaptiveRunConfig) (red, dtof *metrics.Series) {
 	if cfg.SampleEvery > 0 {
-		return metrics.NewSeries("redundancy"), metrics.NewSeries("dtof")
+		n := samples(cfg.Steps, cfg.SampleEvery)
+		return metrics.NewSeries("redundancy", n, fig6Cols), metrics.NewSeries("dtof", n, fig6Cols)
 	}
 	return nil, nil
 }
+
+// samples is how many of the first step rounds are sampled every
+// rounds apart: rounds 0, every, 2·every, … below step, ⌈step/every⌉.
+func samples(step, every int64) int64 { return step/every + min(1, step%every) }
 
 // NewCampaign validates cfg and allocates every buffer the campaign will
 // ever need; Step itself allocates nothing on the consensus path.
@@ -138,8 +147,8 @@ func (c *Campaign) Rounds() int64 { return c.step }
 func (c *Campaign) Step() voting.Outcome {
 	o, _ := c.sb.StepFirstK(uint64(c.step), c.env.corruptions(c.step), c.crng)
 	if c.red != nil && c.step%c.cfg.SampleEvery == 0 {
-		c.red.Append(c.step, float64(o.N))
-		c.dtof.Append(c.step, float64(o.DTOF))
+		c.red.Append(float64(o.N))
+		c.dtof.Append(float64(o.DTOF))
 	}
 	c.step++
 	c.replicaRounds += int64(o.N)

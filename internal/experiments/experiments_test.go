@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"aft/internal/voting"
 )
 
 // --- E1 / Fig. 4 --------------------------------------------------------
@@ -105,6 +107,41 @@ func TestFig5MatchesPaper(t *testing.T) {
 
 // --- E3 / Fig. 6 --------------------------------------------------------
 
+// fig6Resize is one re-dimensioning of the Fig. 6 organ: the round
+// whose outcome made the controller decide, that outcome, and the size
+// the organ runs at from the next round on.
+type fig6Resize struct {
+	round int64
+	o     voting.Outcome
+	to    int
+}
+
+// fig6Resizes steps DefaultFig6Config on the reference loop and returns
+// its resizes and the outcome of its last round.
+func fig6Resizes(t *testing.T) ([]fig6Resize, voting.Outcome) {
+	t.Helper()
+	rc, err := NewReferenceCampaign(DefaultFig6Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resizes []fig6Resize
+	var o voting.Outcome
+	for rc.Remaining() > 0 {
+		round, n := rc.Rounds(), rc.Switchboard().Controller().N()
+		o = rc.Step()
+		if to := rc.Switchboard().Controller().N(); to != n {
+			resizes = append(resizes, fig6Resize{round, o, to})
+		}
+	}
+	return resizes, o
+}
+
+// TestFig6Staircase pins the Fig. 6 staircase. The storm raises the
+// organ 3→5→7→9 at rounds 3000, 3300 and 3601, calm lowers it 9→7→5→3
+// at rounds 5199, 6199 and 7199 (read on the reference loop), the last
+// round runs at 3 replicas, and no round fails. The rounds are the
+// figure's own claim, so -update cannot rewrite them: a storm dwell of
+// 320 rounds in place of 300 moves every one.
 func TestFig6Staircase(t *testing.T) {
 	res, err := RunAdaptive(DefaultFig6Config())
 	if err != nil {
@@ -113,20 +150,27 @@ func TestFig6Staircase(t *testing.T) {
 	if res.Failures != 0 {
 		t.Fatalf("failures = %d, want 0", res.Failures)
 	}
-	// The storm must push redundancy to the maximum and calm must bring
-	// it back to the minimum.
-	if res.Redundancy.Max() != 9 {
-		t.Fatalf("peak redundancy %v, want 9", res.Redundancy.Max())
+	if peak := res.Redundancy.State().Max; peak != 9 {
+		t.Fatalf("peak redundancy %v, want 9", peak)
 	}
-	last := res.Redundancy.At(res.Redundancy.Len() - 1)
-	if last.Value != 3 {
-		t.Fatalf("final redundancy %v, want 3 (decay after calm)", last.Value)
+	if res.Raises != 3 || res.Lowers != 3 {
+		t.Fatalf("raises/lowers = %d/%d, want 3/3 (3->5->7->9->7->5->3)", res.Raises, res.Lowers)
 	}
-	if res.Raises < 3 {
-		t.Fatalf("raises = %d, want >= 3 (3->5->7->9)", res.Raises)
+	resizes, last := fig6Resizes(t)
+	want := []struct {
+		round int64
+		to    int
+	}{{3000, 5}, {3300, 7}, {3601, 9}, {5199, 7}, {6199, 5}, {7199, 3}}
+	if len(resizes) != len(want) {
+		t.Fatalf("%d resizes (%v), want %d", len(resizes), resizes, len(want))
 	}
-	if res.Lowers < 3 {
-		t.Fatalf("lowers = %d, want >= 3 (9->7->5->3)", res.Lowers)
+	for i, w := range want {
+		if r := resizes[i]; r.round != w.round || r.to != w.to {
+			t.Errorf("resize %d: to %d after round %d, want to %d after round %d", i, r.to, r.round, w.to, w.round)
+		}
+	}
+	if last.N != 3 {
+		t.Fatalf("final redundancy %d, want 3 (decay after calm)", last.N)
 	}
 	out := RenderFig6(res)
 	if !strings.Contains(out, "redundancy") {
@@ -134,26 +178,28 @@ func TestFig6Staircase(t *testing.T) {
 	}
 }
 
+// TestFig6DTOFDropsBeforeRaise checks the §3.3 causality on every raise
+// of the Fig. 6 staircase: the outcome that made the controller raise
+// the organ had a distance to failure at or below CriticalDTOF, and
+// the organ ran at minimal redundancy until the first raise.
 func TestFig6DTOFDropsBeforeRaise(t *testing.T) {
-	res, err := RunAdaptive(DefaultFig6Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Causality check on the sampled series: the first sample with
-	// redundancy > 3 must come at or after the first sample with dtof
-	// at the critical level.
-	firstRaise := -1
-	for i := 0; i < res.Redundancy.Len(); i++ {
-		if res.Redundancy.At(i).Value > 3 {
-			firstRaise = i
-			break
+	policy := DefaultFig6Config().Policy
+	resizes, _ := fig6Resizes(t)
+	raises := 0
+	for _, r := range resizes {
+		if r.to <= r.o.N {
+			continue
+		}
+		raises++
+		if r.o.DTOF > policy.CriticalDTOF {
+			t.Errorf("raise to %d after round %d, whose DTOF %d is above CriticalDTOF %d", r.to, r.round, r.o.DTOF, policy.CriticalDTOF)
 		}
 	}
-	if firstRaise < 0 {
+	if raises == 0 {
 		t.Fatal("redundancy never rose")
 	}
-	if res.Redundancy.At(0).Value != 3 {
-		t.Fatal("run did not start at minimal redundancy")
+	if resizes[0].o.N != policy.Min {
+		t.Fatalf("first resize from %d replicas: the run did not start at minimal redundancy %d", resizes[0].o.N, policy.Min)
 	}
 }
 

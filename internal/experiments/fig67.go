@@ -192,8 +192,8 @@ type AdaptiveRunConfig struct {
 type AdaptiveRunResult struct {
 	// Hist is the redundancy occupancy histogram (Fig. 7).
 	Hist *metrics.IntHistogram
-	// Redundancy and DTOF are sampled series (Fig. 6), nil when
-	// sampling is disabled.
+	// Redundancy and DTOF are the sampled series (Fig. 6), kept as
+	// RenderFig6 draws them, nil when sampling is disabled.
 	Redundancy *metrics.Series
 	DTOF       *metrics.Series
 	// Rounds and Failures count voting rounds and failed rounds; the
@@ -282,8 +282,8 @@ func RenderFig6(r AdaptiveRunResult) string {
 	var b strings.Builder
 	b.WriteString("Fig. 6 — autonomic adaptation of redundancy under fault injection\n")
 	if r.Redundancy != nil {
-		b.WriteString(r.Redundancy.Render(7, 72))
-		b.WriteString(r.DTOF.Render(5, 72))
+		b.WriteString(r.Redundancy.Render(7))
+		b.WriteString(r.DTOF.Render(5))
 	}
 	fmt.Fprintf(&b, "rounds=%d failures=%d raises=%d lowers=%d\n",
 		r.Rounds, r.Failures, r.Raises, r.Lowers)

@@ -95,8 +95,8 @@ func (rc *ReferenceCampaign) Step() voting.Outcome {
 	}
 	o, _ := rc.sb.Step(uint64(rc.step), corrupted, rc.crng)
 	if rc.red != nil && rc.step%rc.cfg.SampleEvery == 0 {
-		rc.red.Append(rc.step, float64(o.N))
-		rc.dtof.Append(rc.step, float64(o.DTOF))
+		rc.red.Append(float64(o.N))
+		rc.dtof.Append(float64(o.DTOF))
 	}
 	rc.step++
 	rc.replicaRounds += int64(o.N)

@@ -37,8 +37,11 @@ import (
 // checkpoint container.
 const CampaignSnapshotKind = "aft/campaign"
 
-// campaignSnapshotVersion is the campaign payload schema version.
-const campaignSnapshotVersion = 1
+// campaignSnapshotVersion is the campaign payload schema version this
+// build writes. Version 2 carries each sampled series as the fixed
+// summary RenderFig6 draws; version 1 carried every sample, and
+// decodeCampaign still reads it by folding the samples in order.
+const campaignSnapshotVersion = 2
 
 // Engine names recorded in snapshots (informational: either engine can
 // restore either snapshot).
@@ -180,26 +183,67 @@ func snapshotCampaign(st campaignState) (*checkpoint.Snapshot, error) {
 	return snap, nil
 }
 
-// writeSeries appends one sampled series.
+// writeSeries appends one sampled series' state: its sample count,
+// minimum and maximum, then the maxima of its buckets begun so far.
 func writeSeries(w *checkpoint.Writer, s *metrics.Series) {
-	pts := s.Points()
-	w.U32(uint32(len(pts)))
-	for _, p := range pts {
-		w.I64(p.Time)
-		w.F64(p.Value)
+	st := s.State()
+	w.I64(st.N)
+	w.F64(st.Min)
+	w.F64(st.Max)
+	w.I64(int64(len(st.Buckets)))
+	for _, v := range st.Buckets {
+		w.F64(v)
 	}
 }
 
-// readSeries decodes one sampled series.
-func readSeries(r *checkpoint.Reader, name string) *metrics.Series {
-	s := metrics.NewSeries(name)
-	n := r.U32()
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		t := r.I64()
-		v := r.F64()
-		s.Append(t, v)
+// readSeries decodes the series section of a campaign of cfg at round
+// step into its redundancy and DTOF series. A version 1 section held
+// every sample, which fold in order; a version 2 one holds each
+// series' state. It refuses a series the campaign could not have
+// recorded: a sample count other than samples(step, cfg.SampleEvery),
+// a value outside [0, cfg.Policy.Max] (where replica counts and
+// distances to failure lie), or a state Series.Restore refuses.
+func readSeries(data []byte, version uint16, cfg AdaptiveRunConfig, step int64) (red, dtof *metrics.Series, err error) {
+	r := checkpoint.NewReader(data)
+	series := [2]*metrics.Series{}
+	for i, name := range []string{"redundancy", "dtof"} {
+		var st metrics.SeriesState
+		if version == 1 {
+			st.N = int64(r.U32())
+		} else {
+			st.N = r.I64()
+		}
+		if want := samples(step, cfg.SampleEvery); r.Err() == nil && st.N != want {
+			return nil, nil, fmt.Errorf("experiments: series %q holds %d samples at round %d, want %d", name, st.N, step, want)
+		}
+		var vals []float64 // every value read
+		if version == 1 {
+			for j := int64(0); j < st.N && r.Err() == nil; j++ {
+				r.I64() // the sample's round: the series keeps none
+				vals = append(vals, r.F64())
+			}
+		} else {
+			st.Min, st.Max = r.F64(), r.F64()
+			for j, nb := int64(0), r.I64(); j < nb && r.Err() == nil; j++ {
+				st.Buckets = append(st.Buckets, r.F64())
+			}
+			vals = append([]float64{st.Min, st.Max}, st.Buckets...)
+		}
+		for _, v := range vals {
+			if !(v >= 0 && v <= float64(cfg.Policy.Max)) {
+				return nil, nil, fmt.Errorf("experiments: series %q holds %v, outside [0, %d]", name, v, cfg.Policy.Max)
+			}
+		}
+		series[i] = metrics.NewSeries(name, samples(cfg.Steps, cfg.SampleEvery), fig6Cols)
+		if version == 1 {
+			for _, v := range vals {
+				series[i].Append(v)
+			}
+		} else if err := series[i].Restore(st); err != nil && r.Err() == nil {
+			return nil, nil, err
+		}
 	}
-	return s
+	return series[0], series[1], r.Close()
 }
 
 // decodeCampaign parses and cross-checks a campaign snapshot.
@@ -211,8 +255,8 @@ func decodeCampaign(snap *checkpoint.Snapshot) (campaignState, error) {
 	if snap.Kind != CampaignSnapshotKind {
 		return st, fmt.Errorf("experiments: snapshot kind %q is not %q", snap.Kind, CampaignSnapshotKind)
 	}
-	if snap.Version != campaignSnapshotVersion {
-		return st, fmt.Errorf("experiments: campaign snapshot version %d unsupported (this build reads %d)",
+	if snap.Version != 1 && snap.Version != campaignSnapshotVersion {
+		return st, fmt.Errorf("experiments: campaign snapshot version %d unsupported (this build reads 1 to %d)",
 			snap.Version, campaignSnapshotVersion)
 	}
 	for _, name := range []string{"meta", "config", "counters", "occupancy", "switchboard", "env", "crng"} {
@@ -313,20 +357,12 @@ func decodeCampaign(snap *checkpoint.Snapshot) (campaignState, error) {
 		return st, err
 	}
 
-	if snap.Has("series") {
-		series := checkpoint.NewReader(snap.Section("series"))
-		st.red = readSeries(series, "redundancy")
-		st.dtof = readSeries(series, "dtof")
-		if err := series.Close(); err != nil {
-			return st, err
-		}
-	}
-
-	// Cross-checks: the occupancy must account for exactly the rounds
-	// run and the replica-rounds spent, the sampled series must be
-	// present iff sampling is configured, and the round count must not
-	// exceed the configured campaign length. A snapshot failing any of
-	// these is internally inconsistent, whatever its checksum says.
+	// Cross-checks: the occupancy accounts for exactly the rounds run
+	// and the replica-rounds spent, the round count does not exceed the
+	// configured campaign length, and the sampled series are present
+	// iff sampling is configured, each as the campaign would have
+	// recorded it (readSeries). A snapshot failing any of these is
+	// internally inconsistent, whatever its checksum says.
 	if st.step < 0 || st.step > st.cfg.Steps {
 		return st, fmt.Errorf("experiments: snapshot at round %d of a %d-round campaign", st.step, st.cfg.Steps)
 	}
@@ -340,8 +376,14 @@ func decodeCampaign(snap *checkpoint.Snapshot) (campaignState, error) {
 	if st.failures < 0 || st.failures > st.step {
 		return st, fmt.Errorf("experiments: %d failures over %d rounds", st.failures, st.step)
 	}
-	if (st.cfg.SampleEvery > 0) != (st.red != nil) {
+	if (st.cfg.SampleEvery > 0) != snap.Has("series") {
 		return st, fmt.Errorf("experiments: sampling config and series section disagree")
+	}
+	if snap.Has("series") {
+		var err error
+		if st.red, st.dtof, err = readSeries(snap.Section("series"), snap.Version, st.cfg, st.step); err != nil {
+			return st, err
+		}
 	}
 	return st, nil
 }

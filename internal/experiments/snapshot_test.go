@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"aft/internal/checkpoint"
+	"aft/internal/metrics"
 	"aft/internal/xrand"
 )
 
@@ -282,6 +285,184 @@ func TestRestoreRefusesOccupancyPastPolicyMax(t *testing.T) {
 	}
 	if _, err := RestoreBatchCampaign([]*checkpoint.Snapshot{forged}); err == nil || err.Error() != "experiments: lane 0: "+want {
 		t.Fatalf("RestoreBatchCampaign = %v, want %q", err, "experiments: lane 0: "+want)
+	}
+}
+
+// infSeriesReproducer is a version 1 Fig. 6 campaign snapshot at round
+// 100 whose DTOF series holds a sixth sample, +Inf, where five belong.
+// Builds that restored it ran the campaign to its end and then
+// panicked in RenderFig6 (index out of range), in the holder that
+// rendered the transcript.
+const infSeriesReproducer = "testdata/fig6-dtof-inf.aftckpt"
+
+// TestRestoreRefusesInfSeriesReproducer: every restore entry point
+// refuses the reproducer with the sample count's pinned text.
+func TestRestoreRefusesInfSeriesReproducer(t *testing.T) {
+	data, err := os.ReadFile(infSeriesReproducer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Version != 1 {
+		t.Fatalf("reproducer is version %d, want 1", snap.Version)
+	}
+	const want = `experiments: series "dtof" holds 6 samples at round 100, want 5`
+	if _, err := RestoreCampaign(snap); err == nil || err.Error() != want {
+		t.Fatalf("RestoreCampaign = %v, want %q", err, want)
+	}
+	if _, err := RestoreReferenceCampaign(snap); err == nil || err.Error() != want {
+		t.Fatalf("RestoreReferenceCampaign = %v, want %q", err, want)
+	}
+	if _, err := RestoreBatchCampaign([]*checkpoint.Snapshot{snap}); err == nil || err.Error() != "experiments: lane 0: "+want {
+		t.Fatalf("RestoreBatchCampaign = %v, want %q", err, "experiments: lane 0: "+want)
+	}
+}
+
+// TestRestoreRefusesForgedSeries forges the series section of a Fig. 6
+// snapshot at round 100, whose series hold five samples each (one
+// bucket of nine samples), in both format versions, with the checksum
+// consistent. The genuine series restore in either version and finish
+// byte-identical to the uninterrupted run; each forgery is refused
+// with its pinned text.
+func TestRestoreRefusesForgedSeries(t *testing.T) {
+	cfg := DefaultFig6Config()
+	c := fusedAt(t, cfg).(*Campaign)
+	var red, dtof []float64 // the samples, as version 1 carried them
+	for c.Rounds() < 100 {
+		sampled := c.Rounds()%cfg.SampleEvery == 0
+		o := c.Step()
+		if sampled {
+			red, dtof = append(red, float64(o.N)), append(dtof, float64(o.DTOF))
+		}
+	}
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := func(red, dtof []float64) []byte {
+		var w checkpoint.Writer
+		for _, vals := range [][]float64{red, dtof} {
+			w.U32(uint32(len(vals)))
+			for i, v := range vals {
+				w.I64(int64(i) * cfg.SampleEvery)
+				w.F64(v)
+			}
+		}
+		return w.Data()
+	}
+	v2 := func(red, dtof metrics.SeriesState) []byte {
+		var w checkpoint.Writer
+		for _, st := range []metrics.SeriesState{red, dtof} {
+			w.I64(st.N)
+			w.F64(st.Min)
+			w.F64(st.Max)
+			w.I64(int64(len(st.Buckets)))
+			for _, v := range st.Buckets {
+				w.F64(v)
+			}
+		}
+		return w.Data()
+	}
+	// forge is snap in format version, with its series section replaced
+	// (dropped when series is nil).
+	forge := func(from *checkpoint.Snapshot, version uint16, series []byte) *checkpoint.Snapshot {
+		t.Helper()
+		out := checkpoint.New(from.Kind, version)
+		for _, name := range from.Names() {
+			if name != "series" {
+				out.Add(name, from.Section(name))
+			}
+		}
+		if series != nil {
+			out.Add("series", series)
+		}
+		decoded, err := checkpoint.Decode(out.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decoded
+	}
+	redSt, dtofSt := c.red.State(), c.dtof.State()
+	if string(v2(redSt, dtofSt)) != string(snap.Section("series")) {
+		t.Fatal("setup: the version 2 forger does not write what Snapshot writes")
+	}
+	straight, err := RunAdaptive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for version, series := range map[uint16][]byte{1: v1(red, dtof), 2: v2(redSt, dtofSt)} {
+		rc, err := RestoreReferenceCampaign(forge(snap, version, series))
+		if err != nil {
+			t.Fatalf("genuine version %d series refused: %v", version, err)
+		}
+		rc.Run(rc.Remaining())
+		if renderBoth(rc.Result(), cfg.Policy.Min) != renderBoth(straight, cfg.Policy.Min) {
+			t.Fatalf("genuine version %d series finished off the uninterrupted transcript", version)
+		}
+	}
+
+	with := func(vals []float64, i int, v float64) []float64 {
+		out := slices.Clone(vals)
+		if i == len(out) {
+			return append(out, v)
+		}
+		out[i] = v
+		return out
+	}
+	state := func(st metrics.SeriesState, edit func(*metrics.SeriesState)) metrics.SeriesState {
+		st.Buckets = slices.Clone(st.Buckets)
+		edit(&st)
+		return st
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	fig7 := fusedAt(t, DefaultFig7Config(20_000))
+	fig7.Run(100)
+	unsampled, err := fig7.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		snap *checkpoint.Snapshot
+		want string
+	}{
+		{"v1 six samples where five belong", forge(snap, 1, v1(red, with(dtof, 5, 2))),
+			`experiments: series "dtof" holds 6 samples at round 100, want 5`},
+		{"v1 +Inf sample", forge(snap, 1, v1(red, with(dtof, 2, inf))),
+			`experiments: series "dtof" holds +Inf, outside [0, 9]`},
+		{"v1 NaN sample", forge(snap, 1, v1(with(red, 4, nan), dtof)),
+			`experiments: series "redundancy" holds NaN, outside [0, 9]`},
+		{"v1 1e300 sample", forge(snap, 1, v1(red, with(dtof, 0, 1e300))),
+			`experiments: series "dtof" holds 1e+300, outside [0, 9]`},
+		{"v1 -50 sample", forge(snap, 1, v1(red, with(dtof, 3, -50))),
+			`experiments: series "dtof" holds -50, outside [0, 9]`},
+		{"v2 six samples where five belong", forge(snap, 2, v2(redSt, state(dtofSt, func(st *metrics.SeriesState) { st.N = 6 }))),
+			`experiments: series "dtof" holds 6 samples at round 100, want 5`},
+		{"v2 +Inf maximum", forge(snap, 2, v2(redSt, state(dtofSt, func(st *metrics.SeriesState) { st.Max, st.Buckets[0] = inf, inf }))),
+			`experiments: series "dtof" holds +Inf, outside [0, 9]`},
+		{"v2 NaN bucket", forge(snap, 2, v2(state(redSt, func(st *metrics.SeriesState) { st.Buckets[0] = nan }), dtofSt)),
+			`experiments: series "redundancy" holds NaN, outside [0, 9]`},
+		{"v2 -50 minimum", forge(snap, 2, v2(redSt, state(dtofSt, func(st *metrics.SeriesState) { st.Min = -50 }))),
+			`experiments: series "dtof" holds -50, outside [0, 9]`},
+		{"v2 bucket above the maximum", forge(snap, 2, v2(redSt, state(dtofSt, func(st *metrics.SeriesState) { st.Buckets[0] = 9 }))),
+			`metrics: series "dtof": bucket 0 maximum 9 outside [2, 2]`},
+		{"v2 two buckets for five samples", forge(snap, 2, v2(redSt, state(dtofSt, func(st *metrics.SeriesState) { st.Buckets = append(st.Buckets, 2) }))),
+			`metrics: series "dtof": 2 buckets for 5 samples, want 1`},
+		{"v1 series in an unsampled config", forge(unsampled, 1, v1(red, dtof)),
+			"experiments: sampling config and series section disagree"},
+		{"v2 series in an unsampled config", forge(unsampled, 2, v2(redSt, dtofSt)),
+			"experiments: sampling config and series section disagree"},
+		{"v2 sampled config without series", forge(snap, 2, nil),
+			"experiments: sampling config and series section disagree"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := RestoreCampaign(tc.snap); err == nil || err.Error() != tc.want {
+				t.Fatalf("RestoreCampaign = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 

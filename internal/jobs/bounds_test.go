@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"aft/internal/experiments"
 )
@@ -131,114 +132,93 @@ func serveStoredSpec(t *testing.T, specJSON []byte, id string, res *Result) *Ser
 	return newTestServer(t, Options{Dir: dir, DisableLocalPool: true})
 }
 
-// sampleCapReproducer is a Fig. 7 campaign sampled every round. Its
-// 3 M samples make a snapshot of about 96 MB, past maxCheckpointBody: a
-// fleet accepted it, refused every upload past two million samples with
-// a 413, and re-granted the job from its last accepted checkpoint
-// forever.
+// sampleCapReproducer is a Fig. 7 campaign sampled every round. When a
+// snapshot carried every Fig. 6 sample, its 3 M samples made a snapshot
+// of 96 MB, past maxCheckpointBody: a fleet accepted the spec, refused
+// every upload past two million samples with a 413, and re-granted the
+// job from its last accepted checkpoint forever. A later build capped a
+// campaign's samples instead. Now that each series keeps a fixed-size
+// state, it is an ordinary spec.
 const sampleCapReproducer = "testdata/sample-cap/fig7-3000000-sample-every-1.json"
 
-// TestCampaignSampleCap pins the sample cap at POST /jobs: a campaign
-// that takes exactly maxCampaignSamples samples is accepted, one that
-// takes one more is refused with the pinned text, and so is the
-// committed reproducer, which a store written before the cap recovers
-// as a failed job. SampleEvery 20 makes the one-past case a single
-// round, so the test also pins the rounding up.
-func TestCampaignSampleCap(t *testing.T) {
+// TestSampleCapReproducerIsOrdinary: the reproducer is accepted with
+// 202, its campaign's snapshot one round before the end is under
+// 64 KiB, and a store that holds it recovers it queued, not failed.
+func TestSampleCapReproducerIsOrdinary(t *testing.T) {
 	reproducer, err := os.ReadFile(sampleCapReproducer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// withSampling is the reproducer with its length and period replaced.
-	withSampling := func(steps, every int64) string {
-		body := strings.Replace(string(reproducer), `"Steps":3000000`, fmt.Sprintf(`"Steps":%d`, steps), 1)
-		return strings.Replace(body, `"SampleEvery":1}`, fmt.Sprintf(`"SampleEvery":%d}`, every), 1)
+	var spec Spec
+	if err := json.Unmarshal(reproducer, &spec); err != nil {
+		t.Fatal(err)
 	}
-	const every = 20
-	pinned := "jobs: campaign takes %d samples (Steps/SampleEvery, rounded up), over the sample cap 2095104"
-	// No holders: the accepted campaign stays queued instead of
-	// sampling two million rounds.
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("Validate = %v", err)
+	}
+	// No holders: the accepted campaign stays queued.
 	s := newTestServer(t, Options{DisableLocalPool: true})
-	for _, tc := range []struct {
-		name, body string
-		wantErr    string // empty: accepted
-	}{
-		{"at the cap", withSampling(every*maxCampaignSamples, every), ""},
-		{"one past the cap", withSampling(every*maxCampaignSamples+1, every), fmt.Sprintf(pinned, maxCampaignSamples+1)},
-		{"reproducer", string(reproducer), fmt.Sprintf(pinned, 3_000_000)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var spec Spec
-			if err := json.Unmarshal([]byte(tc.body), &spec); err != nil {
-				t.Fatal(err)
-			}
-			if err := spec.Validate(); (err == nil) != (tc.wantErr == "") || (err != nil && err.Error() != tc.wantErr) {
-				t.Fatalf("Validate = %v, want %q", err, tc.wantErr)
-			}
-			w := do(t, s, "POST", "/jobs", tc.body)
-			if tc.wantErr == "" {
-				if w.Code != http.StatusAccepted {
-					t.Fatalf("POST /jobs = %d %s, want 202", w.Code, w.Body)
-				}
-				return
-			}
-			var reply errorReply
-			if w.Code != http.StatusBadRequest || json.Unmarshal(w.Body.Bytes(), &reply) != nil || reply.Error != tc.wantErr {
-				t.Fatalf("POST /jobs = %d %s, want 400 %q", w.Code, w.Body, tc.wantErr)
-			}
-		})
+	if w := do(t, s, "POST", "/jobs", string(reproducer)); w.Code != http.StatusAccepted {
+		t.Fatalf("POST /jobs = %d %s, want 202", w.Code, w.Body)
 	}
 
-	// A store that holds the reproducer, accepted before the cap: its
-	// client reads the job failed with the pinned text, and a
-	// resubmission is refused with the same text.
+	// Every engine writes the same snapshot; a kernel lane gets there
+	// soonest.
+	b, err := experiments.NewBatchCampaign(*spec.Campaign, []uint64{spec.Campaign.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Run(b.Remaining() - 1)
+	snap, err := b.LaneSnapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(snap.Encode())
+	if n >= 64<<10 {
+		t.Fatalf("a snapshot at round %d is %d bytes, want under 64 KiB", b.Rounds(), n)
+	}
+	t.Logf("a snapshot at round %d is %d bytes", b.Rounds(), n)
+
 	t.Run("stored reproducer", func(t *testing.T) {
 		const id = "5a3c0e1f2a735d4b"
 		s := serveStoredSpec(t, reproducer, id, nil)
-		want := "invalid spec: " + fmt.Sprintf(pinned, 3_000_000)
-		w := do(t, s, "GET", "/jobs/"+id, "")
-		if w.Code != http.StatusOK {
-			t.Fatalf("GET /jobs/%s = %d %s, want 200", id, w.Code, w.Body)
+		if notes := s.RecoveryNotes(); len(notes) != 0 {
+			t.Fatalf("recovery notes %q, want none", notes)
 		}
-		if st := decode[Status](t, w); st.State != StateFailed || st.Error != want {
-			t.Fatalf("GET /jobs/%s = %+v, want failed %q", id, st, want)
-		}
-		var reply errorReply
-		if w := do(t, s, "POST", "/jobs", string(reproducer)); w.Code != http.StatusBadRequest ||
-			json.Unmarshal(w.Body.Bytes(), &reply) != nil || reply.Error != fmt.Sprintf(pinned, 3_000_000) {
-			t.Fatalf("resubmit = %d %s, want 400 %q", w.Code, w.Body, fmt.Sprintf(pinned, 3_000_000))
+		if st, ok := s.StatusOf(id); !ok || st.State != StateQueued {
+			t.Fatalf("stored reproducer: %+v (found %v), want queued", st, ok)
 		}
 	})
 }
 
-// TestSnapshotAtSampleCapFitsBody measures a campaign at the sample cap
-// after 1 000 and 2 000 sampled rounds, extrapolates its snapshot to
-// maxCampaignSamples samples, and checks that the upload fits
-// maxCheckpointBody. The measured growth per sample must be the
-// snapshotBytesPerSample the cap is derived from.
-func TestSnapshotAtSampleCapFitsBody(t *testing.T) {
-	cfg := experiments.DefaultFig7Config(maxCampaignSamples)
-	cfg.SampleEvery = 1
-	c, err := experiments.NewCampaign(cfg)
+// TestUploadRefusesInfSeriesReproducer uploads the committed forged
+// Fig. 6 snapshot (experiments' infSeriesReproducer: a sixth DTOF
+// sample of +Inf where five belong) under a live lease on its job. The
+// coordinator refuses it with 400 and the decoder's pinned text, so no
+// holder is handed a series that crashes its transcript.
+func TestUploadRefusesInfSeriesReproducer(t *testing.T) {
+	forged, err := os.ReadFile(filepath.Join("..", "experiments", "testdata", "fig6-dtof-inf.aftckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := func(rounds int64) int64 {
-		c.Run(rounds - c.Rounds())
-		snap, err := c.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return int64(len(snap.Encode()))
+	s := newTestServer(t, Options{DisableLocalPool: true, LeaseTTL: time.Minute})
+	cfg := experiments.DefaultFig6Config()
+	st, _, err := s.Submit(Spec{Kind: KindCampaign, Campaign: &cfg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	const n1, n2 = 1000, 2000
-	s1, s2 := size(n1), size(n2)
-	if per := (s2 - s1) / (n2 - n1); per != snapshotBytesPerSample {
-		t.Fatalf("a sample adds %d bytes to a snapshot (%d B at %d samples, %d B at %d), the cap assumes %d",
-			per, s1, n1, s2, n2, snapshotBytesPerSample)
+	if err := s.WaitReady(waitCtx(t)); err != nil {
+		t.Fatal(err)
 	}
-	if atCap := s1 + snapshotBytesPerSample*(maxCampaignSamples-n1); atCap > maxCheckpointBody {
-		t.Fatalf("a snapshot at the sample cap is %d bytes, over the %d-byte body cap", atCap, maxCheckpointBody)
+	g := waitLease(t, s, "w1")
+	w := fleetReq(t, s, "PUT", "/v1/jobs/"+st.ID+"/checkpoint", forged, uploadHeaders("w1", g.Token))
+	const want = `snapshot does not restore: experiments: series "dtof" holds 6 samples at round 100, want 5`
+	var reply errorReply
+	if w.Code != http.StatusBadRequest || json.Unmarshal(w.Body.Bytes(), &reply) != nil || reply.Error != want {
+		t.Fatalf("upload = %d %s, want 400 %q", w.Code, w.Body, want)
+	}
+	if got, ok := s.StatusOf(st.ID); !ok || got.CheckpointRounds != 0 {
+		t.Fatalf("after the refused upload: %+v (found %v), want no checkpoint", got, ok)
 	}
 }
 

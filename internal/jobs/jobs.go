@@ -134,19 +134,6 @@ const maxClientLen = 128
 // OPERATIONS.md records what a campaign at the cap costs.
 const maxOrganSize = 255
 
-// snapshotBytesPerSample is what one Fig. 6 sample adds to a campaign
-// snapshot: a (time, value) pair of 16 bytes in each of the two sampled
-// series.
-const snapshotBytesPerSample = 32
-
-// maxCampaignSamples bounds a campaign's sample count, Steps/SampleEvery
-// rounded up. Every checkpoint upload carries the whole sampled series,
-// so past the cap a snapshot outgrows maxCheckpointBody: each upload is
-// refused with a 413, the holder abandons, and the job is re-granted
-// from its last accepted checkpoint forever. 64 KiB of the body cap is
-// left for the snapshot's fixed sections (about 0.7 kB).
-const maxCampaignSamples = (maxCheckpointBody - 64<<10) / snapshotBytesPerSample
-
 // Spec is a complete job submission: a kind plus exactly the matching
 // payload field, optionally tagged with the submitter's client ID and a
 // priority class for the fair-queue scheduler.
@@ -203,12 +190,6 @@ func (s Spec) Validate() error {
 		}
 		if cfg.SampleEvery < 0 {
 			return fmt.Errorf("jobs: campaign SampleEvery %d must be non-negative", cfg.SampleEvery)
-		}
-		if cfg.SampleEvery > 0 {
-			if n := (cfg.Steps-1)/cfg.SampleEvery + 1; n > maxCampaignSamples {
-				return fmt.Errorf("jobs: campaign takes %d samples (Steps/SampleEvery, rounded up), over the sample cap %d",
-					n, maxCampaignSamples)
-			}
 		}
 		if cfg.Policy.Max > maxOrganSize {
 			return fmt.Errorf("jobs: campaign Policy.Max %d exceeds the organ-size cap %d", cfg.Policy.Max, maxOrganSize)

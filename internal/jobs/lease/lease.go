@@ -83,9 +83,6 @@ func NewTable(ttl time.Duration, now Clock) *Table {
 	}
 }
 
-// TTL reports the lease duration grants carry.
-func (t *Table) TTL() time.Duration { return t.ttl }
-
 // HeldError reports an Acquire on a job whose lease is still live.
 type HeldError struct {
 	// Job is the contested job; Holder is the current lease holder.

@@ -130,130 +130,125 @@ func (h *IntHistogram) RenderLog(label string, width int) string {
 	return b.String()
 }
 
-// Point is one sample of a time series.
-type Point struct {
-	Time  int64
-	Value float64
-}
-
-// Series is an append-only time series.
+// Series is a time series of a length fixed when it is made, kept as
+// Render draws it: its samples fall, in order, into buckets of
+// ⌈total/cols⌉ consecutive samples (one each when total ≤ cols), and
+// the series keeps the maximum of each bucket (the interesting
+// excursions in Fig. 6 are the redundancy spikes, which max-pooling
+// preserves) plus the minimum, the maximum and the count of the samples
+// appended so far. Its size does not grow with its samples.
 type Series struct {
-	Name   string
-	points []Point
+	Name string
+	// total is the number of samples the series takes and width the
+	// number in a bucket.
+	total, width int64
+	st           SeriesState
 }
 
-// NewSeries returns an empty named series.
-func NewSeries(name string) *Series {
-	return &Series{Name: name}
+// SeriesState is what a Series keeps of the samples appended so far:
+// their count N, their minimum Min and maximum Max (both 0 while N is
+// 0), and the maximum of each bucket begun so far, oldest first.
+type SeriesState struct {
+	N        int64
+	Min, Max float64
+	Buckets  []float64
 }
 
-// Append adds a sample. Samples should be appended in non-decreasing time
-// order; this is not enforced, but rendering assumes it.
-func (s *Series) Append(t int64, v float64) {
-	s.points = append(s.points, Point{Time: t, Value: v})
+// NewSeries returns an empty named series of total samples, drawn in
+// at most cols columns; cols must be positive.
+func NewSeries(name string, total int64, cols int) *Series {
+	width := max(1, ceilDiv(total, int64(cols)))
+	s := &Series{Name: name, total: total, width: width}
+	s.st.Buckets = make([]float64, 0, ceilDiv(total, width))
+	return s
 }
 
-// Len reports the number of samples.
-func (s *Series) Len() int { return len(s.points) }
+// ceilDiv is ⌈a/b⌉ for a ≥ 0 and b > 0, without overflow.
+func ceilDiv(a, b int64) int64 { return a/b + min(1, a%b) }
 
-// Points returns a copy of the samples.
-func (s *Series) Points() []Point {
-	out := make([]Point, len(s.points))
-	copy(out, s.points)
-	return out
-}
-
-// At returns the i-th sample.
-func (s *Series) At(i int) Point { return s.points[i] }
-
-// Min returns the minimum value, or 0 for an empty series.
-func (s *Series) Min() float64 {
-	if len(s.points) == 0 {
-		return 0
+// Append adds the next sample. It panics once the series holds its
+// total.
+func (s *Series) Append(v float64) {
+	st := &s.st
+	if st.N == s.total {
+		panic("metrics: Append past the series' length")
 	}
-	m := s.points[0].Value
-	for _, p := range s.points[1:] {
-		if p.Value < m {
-			m = p.Value
+	if st.N%s.width == 0 {
+		st.Buckets = append(st.Buckets, v)
+	} else if last := &st.Buckets[len(st.Buckets)-1]; v > *last {
+		*last = v
+	}
+	if st.N == 0 || v < st.Min {
+		st.Min = v
+	}
+	if st.N == 0 || v > st.Max {
+		st.Max = v
+	}
+	st.N++
+}
+
+// State returns what the series keeps; its Buckets are a copy.
+func (s *Series) State() SeriesState {
+	st := s.st
+	st.Buckets = append([]float64(nil), st.Buckets...)
+	return st
+}
+
+// Restore replaces the series' samples with st, as State reported it.
+// It refuses a state that appends to this series could not leave, and
+// one whose span Max−Min is not finite, so that Render stays within
+// its grid.
+func (s *Series) Restore(st SeriesState) error {
+	if st.N < 0 || st.N > s.total {
+		return fmt.Errorf("metrics: series %q: %d samples, outside [0, %d]", s.Name, st.N, s.total)
+	}
+	if want := ceilDiv(st.N, s.width); int64(len(st.Buckets)) != want {
+		return fmt.Errorf("metrics: series %q: %d buckets for %d samples, want %d", s.Name, len(st.Buckets), st.N, want)
+	}
+	if st.N > 0 && !(st.Max-st.Min <= math.MaxFloat64) {
+		return fmt.Errorf("metrics: series %q: span [%v, %v] is not finite", s.Name, st.Min, st.Max)
+	}
+	for i, v := range st.Buckets {
+		if !(st.Min <= v && v <= st.Max) {
+			return fmt.Errorf("metrics: series %q: bucket %d maximum %v outside [%v, %v]", s.Name, i, v, st.Min, st.Max)
 		}
 	}
-	return m
+	if st.N == 0 {
+		st.Min, st.Max = 0, 0
+	}
+	st.Buckets = append(s.st.Buckets[:0], st.Buckets...)
+	s.st = st
+	return nil
 }
 
-// Max returns the maximum value, or 0 for an empty series.
-func (s *Series) Max() float64 {
-	if len(s.points) == 0 {
-		return 0
-	}
-	m := s.points[0].Value
-	for _, p := range s.points[1:] {
-		if p.Value > m {
-			m = p.Value
-		}
-	}
-	return m
-}
-
-// Downsample returns a series with at most n points, taking the maximum
-// value within each bucket (the interesting excursions in Fig. 6 are the
-// redundancy spikes, which max-pooling preserves).
-func (s *Series) Downsample(n int) *Series {
-	if n <= 0 || len(s.points) <= n {
-		out := NewSeries(s.Name)
-		out.points = s.Points()
-		return out
-	}
-	out := NewSeries(s.Name)
-	bucket := (len(s.points) + n - 1) / n
-	for i := 0; i < len(s.points); i += bucket {
-		end := i + bucket
-		if end > len(s.points) {
-			end = len(s.points)
-		}
-		best := s.points[i]
-		for _, p := range s.points[i+1 : end] {
-			if p.Value > best.Value {
-				best = p
-			}
-		}
-		out.points = append(out.points, best)
-	}
-	return out
-}
-
-// Render draws the series as a rows x cols ASCII chart.
-func (s *Series) Render(rows, cols int) string {
-	if rows <= 0 {
-		rows = 10
-	}
-	if cols <= 0 {
-		cols = 60
-	}
-	if len(s.points) == 0 {
+// Render draws the series as a chart rows high (rows must be
+// positive), one column per bucket begun so far: a complete series
+// draws every bucket, and a partial one its buckets as they stand. The
+// header states the minimum, the maximum and the count; a constant
+// series is drawn on an axis one unit tall.
+func (s *Series) Render(rows int) string {
+	st := &s.st
+	if st.N == 0 {
 		return s.Name + " (empty)\n"
 	}
-	ds := s.Downsample(cols)
-	lo, hi := s.Min(), s.Max()
+	lo, hi := st.Min, st.Max
 	if hi == lo {
 		hi = lo + 1
 	}
 	grid := make([][]byte, rows)
 	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", ds.Len()))
+		grid[r] = []byte(strings.Repeat(" ", len(st.Buckets)))
 	}
-	for c := 0; c < ds.Len(); c++ {
-		v := ds.points[c].Value
+	for c, v := range st.Buckets {
 		r := int((v - lo) / (hi - lo) * float64(rows-1))
 		grid[rows-1-r][c] = '*'
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s (min %.3g, max %.3g, %d samples)\n", s.Name, lo, hi, len(s.points))
+	fmt.Fprintf(&b, "%s (min %.3g, max %.3g, %d samples)\n", s.Name, st.Min, st.Max, st.N)
 	for r, row := range grid {
-		var axis float64
+		axis := hi
 		if rows > 1 {
 			axis = hi - (hi-lo)*float64(r)/float64(rows-1)
-		} else {
-			axis = hi
 		}
 		fmt.Fprintf(&b, "%8.3g |%s\n", axis, string(row))
 	}
